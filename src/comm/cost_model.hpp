@@ -169,6 +169,10 @@ class CommCostModel {
   /// models are placement-invariant (one shared link, so a transfer cannot
   /// move between links); per-link topology models must return false so the
   /// Step-4 equal-speed prune does not skip swaps that reroute transfers.
+  /// Placement invariance justifies that equal-speed prune only: Step 4's
+  /// critical-path prune also needs !contended(), since under contention a
+  /// swap off the critical path changes which transfers overlap and can
+  /// shorten the path's own transfers.
   /// Defaults to false: an unknown model is assumed placement-sensitive.
   [[nodiscard]] virtual bool placementInvariant() const noexcept {
     return false;

@@ -26,7 +26,9 @@ std::vector<VertexId> canonical(std::span<const VertexId> vertices) {
   return sorted;
 }
 
-std::uint64_t blockKey(const std::vector<VertexId>& sorted) {
+}  // namespace
+
+std::uint64_t blockKey(std::span<const VertexId> sorted) noexcept {
   std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ sorted.size();
   for (const VertexId v : sorted) {
     std::uint64_t z = h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
@@ -36,8 +38,6 @@ std::uint64_t blockKey(const std::vector<VertexId>& sorted) {
   }
   return h;
 }
-
-}  // namespace
 
 MemDagOracle::MemDagOracle(const graph::Dag& g, OracleOptions options)
     : g_(g), options_(options) {}
@@ -79,10 +79,11 @@ TraversalResult MemDagOracle::evaluate(const graph::SubDag& sub) const {
 
 TraversalResult MemDagOracle::bestTraversal(
     std::span<const VertexId> blockVertices) const {
-  const std::vector<VertexId> sorted = canonical(blockVertices);
+  std::vector<VertexId> sorted = canonical(blockVertices);
   graph::SubDag sub = graph::inducedSubgraph(g_, sorted);
   TraversalResult local = evaluate(sub);
-  memo_[blockKey(sorted)] = local.peak;
+  const std::uint64_t key = options_.memoKey(sorted);
+  memo_.insert_or_assign(key, MemoEntry{std::move(sorted), local.peak});
   // Translate local ids back to the workflow's vertex ids.
   TraversalResult result;
   result.peak = local.peak;
@@ -99,12 +100,18 @@ double MemDagOracle::blockRequirement(
   if (blockVertices.size() == 1) {
     return g_.taskMemoryRequirement(blockVertices.front());
   }
-  const std::vector<VertexId> sorted = canonical(blockVertices);
-  const std::uint64_t key = blockKey(sorted);
-  if (const auto it = memo_.find(key); it != memo_.end()) return it->second;
+  std::vector<VertexId> sorted = canonical(blockVertices);
+  const std::uint64_t key = options_.memoKey(sorted);
+  const auto it = memo_.find(key);
+  if (it != memo_.end() && it->second.members == sorted) {
+    return it->second.peak;
+  }
   const graph::SubDag sub = graph::inducedSubgraph(g_, sorted);
   const double peak = evaluate(sub).peak;
-  memo_.emplace(key, peak);
+  // A colliding key keeps its first entry; this set just stays unmemoized.
+  if (it == memo_.end()) {
+    memo_.emplace(key, MemoEntry{std::move(sorted), peak});
+  }
   return peak;
 }
 

@@ -28,11 +28,19 @@ struct TraversalResult {
   std::vector<graph::VertexId> order;  // original vertex ids
 };
 
+/// 64-bit hash of a sorted member set: the oracle memo's key.
+[[nodiscard]] std::uint64_t blockKey(
+    std::span<const graph::VertexId> sorted) noexcept;
+
 struct OracleOptions {
   std::size_t exactThreshold = 12;  // exact DP below this block size
   bool useSpSchedule = true;   // TTSP recognition + Liu merges
   bool useGreedy = true;       // greedy + DFS traversal portfolio
   bool useSpization = true;    // layer-barrier SP-ization order
+  /// Memo key of a sorted member set. Memo entries keep their members and
+  /// are compared on every hit, so a colliding key costs an evaluation,
+  /// never a wrong peak (tests inject a constant key to force collisions).
+  std::uint64_t (*memoKey)(std::span<const graph::VertexId>) = &blockKey;
 };
 
 class MemDagOracle {
@@ -43,7 +51,8 @@ class MemDagOracle {
   [[nodiscard]] TraversalResult bestTraversal(
       std::span<const graph::VertexId> blockVertices) const;
 
-  /// Memory requirement r_V = peak of bestTraversal; memoized per block.
+  /// Memory requirement r_V = peak of bestTraversal; memoized per member
+  /// set.
   [[nodiscard]] double blockRequirement(
       std::span<const graph::VertexId> blockVertices) const;
 
@@ -53,11 +62,16 @@ class MemDagOracle {
   [[nodiscard]] std::size_t evaluations() const noexcept { return evals_; }
 
  private:
+  struct MemoEntry {
+    std::vector<graph::VertexId> members;  // sorted; verified on every hit
+    double peak = 0.0;
+  };
+
   [[nodiscard]] TraversalResult evaluate(const graph::SubDag& sub) const;
 
   const graph::Dag& g_;
   OracleOptions options_;
-  mutable std::unordered_map<std::uint64_t, double> memo_;
+  mutable std::unordered_map<std::uint64_t, MemoEntry> memo_;
   mutable std::size_t evals_ = 0;
 };
 

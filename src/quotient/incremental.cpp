@@ -414,7 +414,6 @@ const std::vector<BlockId>& IncrementalEvaluator::criticalPath() const {
   BlockId cur = top;
   while (true) {
     criticalPath_.push_back(cur);
-    const QNode& node = q_->node(cur);
     BlockId next = kNoBlock;
     double bestTail = -1.0;
     for (const auto& [child, cost] : q_->out(cur)) {
@@ -424,10 +423,7 @@ const std::vector<BlockId>& IncrementalEvaluator::criticalPath() const {
         next = child;
       }
     }
-    const platform::ProcessorId p = node.proc;
-    const double speed = p == platform::kNoProcessor ? 1.0 : cluster_->speed(p);
-    const double expected = bottom_[cur] - node.work / speed;
-    if (next == kNoBlock || bestTail + 1e-12 < expected) break;
+    if (next == kNoBlock) break;
     cur = next;
   }
   return criticalPath_;

@@ -363,7 +363,9 @@ MakespanResult computeMakespan(const QuotientGraph& q,
   }
 
   // Makespan = max bottom weight (Eq. (2)); critical path follows the
-  // maximizing children from the defining node.
+  // maximizing children from the defining node down to a sink. Eq. (1)
+  // stores exactly the winning child term, so the walk needs no tolerance:
+  // every step's bottom weight is own duration + that term, bit for bit.
   BlockId top = kNoBlock;
   for (const BlockId b : *order) {
     if (top == kNoBlock || result.bottomWeight[b] > result.makespan) {
@@ -384,9 +386,7 @@ MakespanResult computeMakespan(const QuotientGraph& q,
           next = child;
         }
       }
-      const double expected =
-          result.bottomWeight[cur] - q.node(cur).work / speedOf(cur);
-      if (next == kNoBlock || bestTail + 1e-12 < expected) break;
+      if (next == kNoBlock) break;
       cur = next;
     }
   }

@@ -25,8 +25,27 @@ bool canPruneEqualSpeed(const comm::CommCostModel* comm) {
   return comm == nullptr || comm->placementInvariant();
 }
 
-/// The legacy full-recompute loop, kept verbatim as the differential
-/// reference for the incremental path (DAGPM_FULL_REEVAL=1 routes here).
+/// The critical-path prune is sound when a swap that touches no block of the
+/// exact critical path leaves every path duration and edge cost as it was:
+/// floating-point + and max are monotone, so each path block's bottom weight
+/// (finish time) can only stay or grow and the probe cannot beat the current
+/// makespan. That needs an uncontended model on top of placement invariance:
+/// under fair sharing an off-path swap changes which transfers overlap and
+/// can shorten the path's own transfers.
+bool canPruneOffPath(const comm::CommCostModel* comm) {
+  return comm == nullptr || (!comm->contended() && comm->placementInvariant());
+}
+
+/// Step 4's acceptance rule: `candidate` must beat `incumbent` by a relative
+/// margin. Scaling every time value by a power of two scales both sides
+/// exactly, so the decision does not depend on the unit of time.
+bool improves(double candidate, double incumbent) {
+  return candidate < incumbent * (1.0 - 1e-12);
+}
+
+/// The legacy full-recompute loop, which probes every feasible pair: the
+/// differential reference for the pruned incremental path
+/// (DAGPM_FULL_REEVAL=1 routes here).
 SwapStepResult improveBySwapsFull(quotient::QuotientGraph& q,
                                   const platform::Cluster& cluster,
                                   const SwapStepConfig& cfg) {
@@ -68,7 +87,7 @@ SwapStepResult improveBySwapsFull(quotient::QuotientGraph& q,
           const auto makespan = evalMakespan();
           q.setProcessor(a, pa);
           q.setProcessor(b, pb);
-          if (makespan && *makespan < bestMakespan - 1e-12) {
+          if (makespan && improves(*makespan, bestMakespan)) {
             bestMakespan = *makespan;
             bestA = a;
             bestB = b;
@@ -118,7 +137,7 @@ SwapStepResult improveBySwapsFull(quotient::QuotientGraph& q,
         if (best == platform::kNoProcessor) continue;
         q.setProcessor(b, best);
         const auto makespan = evalMakespan();
-        if (makespan && *makespan < result.makespan - 1e-12) {
+        if (makespan && improves(*makespan, result.makespan)) {
           idle.erase(best);
           idle.insert(from);
           moved.insert(b);
@@ -147,24 +166,33 @@ SwapStepResult improveBySwaps(quotient::QuotientGraph& q,
 
   const std::vector<BlockId> nodes = q.aliveNodes();
   const bool pruneEqualSpeed = canPruneEqualSpeed(cfg.comm);
+  const bool pruneOffPath = canPruneOffPath(cfg.comm);
 
   if (cfg.enableSwaps) {
     // Algorithm 5 with materialized probes: each round evaluates every
-    // feasible pair (in parallel — probes only write per-thread scratch),
-    // then replays the sequential acceptance rule over the stored
-    // makespans, which keeps the committed swap sequence bit-identical to
-    // the legacy loop for any OpenMP thread count.
+    // feasible pair with an endpoint on the committed critical path (in
+    // parallel — probes only write per-thread scratch), then replays the
+    // sequential acceptance rule over the stored makespans. A pruned pair
+    // cannot beat the current makespan (see canPruneOffPath), so the
+    // committed swap sequence stays bit-identical to the legacy loop's for
+    // any OpenMP thread count.
     struct PairCandidate {
       std::uint32_t i = 0, j = 0;
     };
     std::vector<PairCandidate> pairs;
     std::vector<double> makespans;
+    std::vector<char> onPath(q.numSlots(), 0);
     for (std::uint32_t round = 0; round < cfg.maxSwapRounds; ++round) {
       pairs.clear();
+      if (pruneOffPath) {
+        std::fill(onPath.begin(), onPath.end(), 0);
+        for (const BlockId b : eval.criticalPath()) onPath[b] = 1;
+      }
       for (std::uint32_t i = 0; i < nodes.size(); ++i) {
         for (std::uint32_t j = i + 1; j < nodes.size(); ++j) {
           const BlockId a = nodes[i];
           const BlockId b = nodes[j];
+          if (pruneOffPath && onPath[a] == 0 && onPath[b] == 0) continue;
           const ProcessorId pa = q.node(a).proc;
           const ProcessorId pb = q.node(b).proc;
           if (pa == pb) continue;
@@ -204,7 +232,7 @@ SwapStepResult improveBySwaps(quotient::QuotientGraph& q,
       BlockId bestA = quotient::kNoBlock;
       BlockId bestB = quotient::kNoBlock;
       for (std::size_t idx = 0; idx < pairs.size(); ++idx) {
-        if (makespans[idx] < bestMakespan - 1e-12) {
+        if (improves(makespans[idx], bestMakespan)) {
           bestMakespan = makespans[idx];
           bestA = nodes[pairs[idx].i];
           bestB = nodes[pairs[idx].j];
@@ -256,7 +284,7 @@ SwapStepResult improveBySwaps(quotient::QuotientGraph& q,
         if (best == platform::kNoProcessor) continue;
         const quotient::ProcOverride overrides[1] = {{b, best}};
         const double makespan = eval.probeAssign(scratch, overrides);
-        if (makespan < result.makespan - 1e-12) {
+        if (improves(makespan, result.makespan)) {
           q.setProcessor(b, best);
           const BlockId dirty[1] = {b};
           eval.commitAssign(dirty);

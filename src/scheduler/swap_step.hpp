@@ -10,13 +10,18 @@
 //
 // The default implementation evaluates every candidate through
 // quotient::IncrementalEvaluator (cone repair instead of a full O(V+E)
-// recompute per probe) and scans the O(n^2) swap candidates in parallel
-// with OpenMP: probes are pure (per-thread scratch over a const quotient),
-// all candidate makespans are materialized, and the winning pair is then
+// recompute per probe) and scans the swap candidates in parallel with
+// OpenMP: probes are pure (per-thread scratch over a const quotient), all
+// candidate makespans are materialized, and the winning pair is then
 // selected by replaying the sequential acceptance rule over the stored
 // values — so the result is bit-identical to the sequential scan for any
-// thread count. fullReevaluation (or DAGPM_FULL_REEVAL=1) switches to the
-// legacy full-recompute loop, kept verbatim as the differential reference.
+// thread count. Under an uncontended model only pairs with an endpoint on
+// the exact critical path are probed: any other swap leaves the path's
+// length as it was and cannot win. A swap must beat the makespan by a
+// relative margin, so the search does not depend on the unit of time.
+// fullReevaluation (or DAGPM_FULL_REEVAL=1) switches to the legacy
+// full-recompute loop, which probes every pair, kept as the differential
+// reference.
 
 #include "comm/cost_model.hpp"
 #include "platform/cluster.hpp"

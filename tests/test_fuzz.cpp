@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <limits>
 #include <numeric>
@@ -626,15 +627,28 @@ TEST_P(IncrementalFuzz, MutationSequencesMatchFairShareModelTo1em9) {
       });
 }
 
+/// The case's quotient with every block assigned, round-robin over the
+/// processors, and memory requirements that fit everywhere.
+quotient::QuotientGraph assignedQuotient(const EvalFuzzCase& fc) {
+  quotient::QuotientGraph q(fc.dag, fc.blockOf, fc.numBlocks);
+  std::uint32_t i = 0;
+  for (const BlockId b : q.aliveNodes()) {
+    q.setProcessor(b, static_cast<platform::ProcessorId>(
+                          i++ % fc.cluster.numProcessors()));
+    q.setMemReq(b, 1.0);
+  }
+  return q;
+}
+
+std::vector<platform::ProcessorId> procsOf(const quotient::QuotientGraph& q) {
+  std::vector<platform::ProcessorId> procs;
+  for (const BlockId b : q.aliveNodes()) procs.push_back(q.node(b).proc);
+  return procs;
+}
+
 TEST_P(IncrementalFuzz, ParallelSwapScanIsThreadCountReproducible) {
   const EvalFuzzCase fc = makeEvalFuzzCase(GetParam() * 7 + 3);
-  quotient::QuotientGraph base(fc.dag, fc.blockOf, fc.numBlocks);
-  std::uint32_t i = 0;
-  for (const BlockId b : base.aliveNodes()) {
-    base.setProcessor(b, static_cast<platform::ProcessorId>(
-                             i++ % fc.cluster.numProcessors()));
-    base.setMemReq(b, 1.0);
-  }
+  const quotient::QuotientGraph base = assignedQuotient(fc);
   const auto run = [&](int threads, bool full) {
     quotient::QuotientGraph q = base;  // value copy: independent state
 #ifdef _OPENMP
@@ -648,10 +662,8 @@ TEST_P(IncrementalFuzz, ParallelSwapScanIsThreadCountReproducible) {
 #ifdef _OPENMP
     omp_set_num_threads(saved);
 #endif
-    std::vector<platform::ProcessorId> procs;
-    for (const BlockId b : q.aliveNodes()) procs.push_back(q.node(b).proc);
     return std::make_tuple(result.makespan, result.swapsCommitted,
-                           result.idleMovesCommitted, std::move(procs));
+                           result.idleMovesCommitted, procsOf(q));
   };
   const auto single = run(1, false);
   const auto parallel = run(3, false);
@@ -660,8 +672,154 @@ TEST_P(IncrementalFuzz, ParallelSwapScanIsThreadCountReproducible) {
   EXPECT_EQ(single, reference);  // and identical to the full recompute
 }
 
+/// The incremental scan probes only pairs with an endpoint on the critical
+/// path; the full-recompute loop probes every pair. Equal states after every
+/// round prefix mean both commit the same swap in every round.
+TEST_P(IncrementalFuzz, PathPrunedSwapScanCommitsTheFullScanSequence) {
+  const EvalFuzzCase fc = makeEvalFuzzCase(GetParam() * 5 + 1);
+  const quotient::QuotientGraph base = assignedQuotient(fc);
+  const auto run = [&](std::uint32_t rounds, bool full) {
+    quotient::QuotientGraph q = base;
+    scheduler::SwapStepConfig cfg;
+    cfg.maxSwapRounds = rounds;
+    cfg.enableIdleMoves = false;
+    cfg.fullReevaluation = full;
+    const scheduler::SwapStepResult result =
+        scheduler::improveBySwaps(q, fc.cluster, cfg);
+    return std::make_tuple(result.makespan, result.swapsCommitted,
+                           procsOf(q));
+  };
+  for (std::uint32_t rounds = 0; rounds <= 64; ++rounds) {
+    const auto pruned = run(rounds, false);
+    ASSERT_EQ(pruned, run(rounds, true)) << "after " << rounds << " rounds";
+    if (std::get<1>(pruned) < rounds) break;  // no improving swap is left
+  }
+}
+
+/// Pairs the first Step-4 round prices under a placement-invariant model:
+/// distinct processors of distinct speeds, each block fitting the other's
+/// memory and, when `path` is given, at least one block on it.
+std::uint64_t firstRoundPairs(const quotient::QuotientGraph& q,
+                              const platform::Cluster& cluster,
+                              const std::vector<BlockId>* path) {
+  const auto onPath = [&](BlockId b) {
+    return path == nullptr ||
+           std::find(path->begin(), path->end(), b) != path->end();
+  };
+  const std::vector<BlockId> nodes = q.aliveNodes();
+  std::uint64_t count = 0;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    for (std::size_t j = i + 1; j < nodes.size(); ++j) {
+      const platform::ProcessorId pa = q.node(nodes[i]).proc;
+      const platform::ProcessorId pb = q.node(nodes[j]).proc;
+      if (pa == pb || cluster.speed(pa) == cluster.speed(pb)) continue;
+      if (q.node(nodes[i]).memReq > cluster.memory(pb) ||
+          q.node(nodes[j]).memReq > cluster.memory(pa)) {
+        continue;
+      }
+      if (onPath(nodes[i]) || onPath(nodes[j])) ++count;
+    }
+  }
+  return count;
+}
+
+/// The critical-path prune is on exactly for the uncontended models: under
+/// fair sharing an off-path swap changes which transfers overlap, so every
+/// feasible pair must still be probed.
+TEST_P(IncrementalFuzz, SwapScanPrunesOffPathPairsOnlyWhenUncontended) {
+  const EvalFuzzCase fc = makeEvalFuzzCase(GetParam() * 13 + 7);
+  const quotient::QuotientGraph base = assignedQuotient(fc);
+  const bool countersWere = obs::countersEnabled();
+  obs::enableCounters(true);
+  const auto probedInFirstRound = [&](const comm::CommCostModel* model) {
+    const auto probed = [] {
+      return obs::counterSnapshot()[static_cast<std::size_t>(
+                                        obs::Counter::kSwapPairsProbed)]
+          .value;
+    };
+    quotient::QuotientGraph q = base;
+    scheduler::SwapStepConfig cfg;
+    cfg.comm = model;
+    cfg.maxSwapRounds = 1;
+    cfg.enableIdleMoves = false;
+    const std::uint64_t before = probed();
+    (void)scheduler::improveBySwaps(q, fc.cluster, cfg);
+    return probed() - before;
+  };
+  const auto& uncontended = comm::uncontendedCommModel();
+  const auto& fairShare = comm::fairShareCommModel();
+  const std::uint64_t nullProbed = probedInFirstRound(nullptr);
+  const std::uint64_t uncontendedProbed = probedInFirstRound(&uncontended);
+  const std::uint64_t fairShareProbed = probedInFirstRound(&fairShare);
+  obs::enableCounters(countersWere);
+
+  const std::vector<BlockId> path =
+      quotient::computeMakespan(base, fc.cluster).criticalPath;
+  const std::vector<BlockId> fluidPath =
+      quotient::computeMakespan(base, fc.cluster, uncontended).criticalPath;
+  EXPECT_EQ(nullProbed, firstRoundPairs(base, fc.cluster, &path));
+  EXPECT_EQ(uncontendedProbed, firstRoundPairs(base, fc.cluster, &fluidPath));
+  EXPECT_EQ(fairShareProbed, firstRoundPairs(base, fc.cluster, nullptr));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalFuzz,
                          testing::ValuesIn(fuzzSeeds(12)));
+
+/// Unit-of-time property of Step 4 alone: multiplying every speed and the
+/// bandwidth by 2^k divides every duration and transfer time by exactly
+/// 2^k, so on a fully assigned quotient the same swaps and idle moves must
+/// be committed and the makespan must be exactly 2^-k times the native one.
+class RescaleFuzz : public testing::TestWithParam<std::uint64_t> {};
+
+platform::Cluster scaledCluster(const platform::Cluster& cluster, int k) {
+  std::vector<platform::Processor> procs;
+  for (platform::ProcessorId p = 0; p < cluster.numProcessors(); ++p) {
+    platform::Processor proc = cluster.processor(p);
+    proc.speed = std::ldexp(proc.speed, k);
+    procs.push_back(std::move(proc));
+  }
+  return platform::Cluster(std::move(procs),
+                           std::ldexp(cluster.bandwidth(), k));
+}
+
+TEST_P(RescaleFuzz, PowerOfTwoUnitChangeLeavesStep4Unchanged) {
+  const std::uint64_t seed = GetParam();
+  EvalFuzzCase fc = makeEvalFuzzCase(seed * 3 + 2);
+  support::Rng rng(seed * 389 + 17);
+  // Fractional works and speeds make every sum round; a few spare
+  // processors give the idle-move pass something to do.
+  for (VertexId v = 0; v < fc.dag.numVertices(); ++v) {
+    fc.dag.setWork(v, fc.dag.work(v) * (0.5 + rng.uniformReal()));
+  }
+  std::vector<platform::Processor> procs;
+  const auto numProcs = fc.numBlocks + rng.uniformInt(0, 3);
+  for (std::int64_t p = 0; p < numProcs; ++p) {
+    procs.push_back({"p" + std::to_string(p),
+                     0.5 + 4.0 * rng.uniformReal(), 1e9});
+  }
+  fc.cluster = platform::Cluster(std::move(procs), fc.cluster.bandwidth());
+  const quotient::QuotientGraph base = assignedQuotient(fc);
+
+  const auto run = [&](const platform::Cluster& cluster) {
+    quotient::QuotientGraph q = base;
+    const scheduler::SwapStepResult result =
+        scheduler::improveBySwaps(q, cluster);
+    return std::make_tuple(result.makespan, result.swapsCommitted,
+                           result.idleMovesCommitted, procsOf(q));
+  };
+  const auto native = run(fc.cluster);
+  for (const int k : {-60, -40, 10, 40}) {
+    const auto scaled = run(scaledCluster(fc.cluster, k));
+    EXPECT_EQ(std::get<3>(scaled), std::get<3>(native)) << "k=" << k;
+    EXPECT_EQ(std::get<1>(scaled), std::get<1>(native)) << "k=" << k;
+    EXPECT_EQ(std::get<2>(scaled), std::get<2>(native)) << "k=" << k;
+    EXPECT_EQ(std::get<0>(scaled), std::ldexp(std::get<0>(native), -k))
+        << "k=" << k;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RescaleFuzz,
+                         testing::ValuesIn(fuzzSeeds(16)));
 
 // ---- optimality anchors ----------------------------------------------------
 

@@ -78,6 +78,57 @@ TEST(IncrementalEvaluator, RebuildMatchesFullEvaluation) {
   }
 }
 
+/// Folds a critical path's own durations and edge costs back up in Eq. (1)
+/// order (sink first), the association the bottom weights are built in.
+double pathWeight(const QuotientGraph& q, const platform::Cluster& cluster,
+                  const std::vector<BlockId>& path) {
+  double weight = 0.0;
+  for (std::size_t k = path.size(); k-- > 0;) {
+    const ProcessorId p = q.node(path[k]).proc;
+    const double speed =
+        p == platform::kNoProcessor ? 1.0 : cluster.speed(p);
+    const double tail =
+        k + 1 < path.size()
+            ? q.out(path[k]).at(path[k + 1]) / cluster.bandwidth() + weight
+            : 0.0;
+    weight = q.node(path[k]).work / speed + tail;
+  }
+  return weight;
+}
+
+/// The reported critical path is an exact witness of the makespan at any
+/// magnitude: consecutive blocks are parent and child, it ends at a sink,
+/// and its durations plus edge costs fold to the makespan bit for bit.
+TEST(CriticalPath, SumsToTheMakespanAtEveryMagnitude) {
+  for (const double magnitude : {1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+      Case c = makeCase(seed, 10);
+      support::Rng rng(seed * 977 + 3);
+      for (graph::VertexId v = 0; v < c.dag.numVertices(); ++v) {
+        c.dag.setWork(v, magnitude * (0.5 + rng.uniformReal()));
+      }
+      for (graph::EdgeId e = 0; e < c.dag.numEdges(); ++e) {
+        c.dag.setEdgeCost(e, magnitude * (0.5 + rng.uniformReal()));
+      }
+      const QuotientGraph q = buildQuotient(c, seed % 2 == 0);
+      const MakespanResult ms = computeMakespan(q, c.cluster);
+      const IncrementalEvaluator eval(q, c.cluster);
+      for (const std::vector<BlockId>* path :
+           {&ms.criticalPath, &eval.criticalPath()}) {
+        ASSERT_FALSE(path->empty());
+        for (std::size_t k = 0; k + 1 < path->size(); ++k) {
+          ASSERT_EQ(q.out((*path)[k]).count((*path)[k + 1]), 1u);
+        }
+        EXPECT_TRUE(q.out(path->back()).empty())
+            << "magnitude " << magnitude << " seed " << seed;
+        EXPECT_EQ(pathWeight(q, c.cluster, *path), ms.makespan)
+            << "magnitude " << magnitude << " seed " << seed;
+      }
+      EXPECT_EQ(eval.criticalPath(), ms.criticalPath);
+    }
+  }
+}
+
 TEST(IncrementalEvaluator, ProbeAssignMatchesFullRecomputeBitExact) {
   const Case c = makeCase(5, 9);
   QuotientGraph q = buildQuotient(c);

@@ -392,6 +392,33 @@ TEST(Oracle, MemoizesRepeatedBlocks) {
   EXPECT_EQ(oracle.evaluations(), evalsAfterFirst);  // served from memo
 }
 
+/// With every member set hashed to one key, each lookup collides: the memo
+/// must compare members and re-evaluate instead of returning the peak of
+/// whichever block was stored first.
+TEST(Oracle, MemoVerifiesMembersOnKeyCollision) {
+  const Dag g = test::randomLayeredDag(5, 4, 2, 9);
+  std::vector<VertexId> head, tail;
+  for (VertexId v = 0; v < g.numVertices(); ++v) {
+    (v < g.numVertices() / 2 ? head : tail).push_back(v);
+  }
+  const MemDagOracle reference(g);
+  ASSERT_NE(reference.blockRequirement(head), reference.blockRequirement(tail));
+
+  OracleOptions options;
+  options.memoKey = [](std::span<const VertexId>) -> std::uint64_t {
+    return 42;
+  };
+  const MemDagOracle oracle(g, options);
+  EXPECT_EQ(oracle.blockRequirement(head), reference.blockRequirement(head));
+  EXPECT_EQ(oracle.blockRequirement(tail), reference.blockRequirement(tail));
+  EXPECT_EQ(oracle.evaluations(), 2u);
+  // The first set owns the key and hits; the colliding one re-evaluates.
+  EXPECT_EQ(oracle.blockRequirement(head), reference.blockRequirement(head));
+  EXPECT_EQ(oracle.evaluations(), 2u);
+  EXPECT_EQ(oracle.blockRequirement(tail), reference.blockRequirement(tail));
+  EXPECT_EQ(oracle.evaluations(), 3u);
+}
+
 TEST(Oracle, EmptyBlockIsFree) {
   const Dag g = test::randomLayeredDag(3, 3, 2, 1);
   const MemDagOracle oracle(g);
