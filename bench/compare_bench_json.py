@@ -31,12 +31,9 @@ IGNORED_SUFFIXES = ("_seconds", "_runtime_ratio", "_rss_mb")
 
 # Integer event tallies from the fault-injection benches (bench/fault_recovery)
 # count discrete SplitMix64-drawn events, so "close" is meaningless: any drift
-# means a different fault sequence was applied. Search-work counts such as the
-# Step-4 swap pairs probed (bench/scheduler_scaling) are machine-independent
-# perf gates: a drift means the search priced a different candidate set. Both
-# are compared exactly, whatever --rtol/--atol say.
-EXACT_SUFFIXES = ("_fail_stops", "_crashes", "_tasks_killed", "_retries",
-                  "_pairs_probed")
+# means a different fault sequence was applied. They are compared exactly,
+# whatever --rtol/--atol say.
+EXACT_SUFFIXES = ("_fail_stops", "_crashes", "_tasks_killed", "_retries")
 
 
 def row_key(row):
@@ -63,8 +60,8 @@ def compare_numbers(path, base, cur, rtol, atol, failures):
             if c != b:
                 failures.append(
                     f"{path}.{field}: baseline {b:.9g} vs current {c:.9g} "
-                    f"(exact-match column; a drifting tally means a "
-                    f"different event sequence or search)"
+                    f"(exact-match column; a drifting fault tally means a "
+                    f"different event sequence)"
                 )
         elif abs(c - b) > atol + rtol * abs(b):
             failures.append(

@@ -26,9 +26,7 @@ std::vector<VertexId> canonical(std::span<const VertexId> vertices) {
   return sorted;
 }
 
-}  // namespace
-
-std::uint64_t blockKey(std::span<const VertexId> sorted) noexcept {
+std::uint64_t blockKey(const std::vector<VertexId>& sorted) noexcept {
   std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ sorted.size();
   for (const VertexId v : sorted) {
     std::uint64_t z = h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
@@ -37,6 +35,13 @@ std::uint64_t blockKey(std::span<const VertexId> sorted) noexcept {
     h = z ^ (z >> 31);
   }
   return h;
+}
+
+}  // namespace
+
+std::size_t MemDagOracle::MemberSetHash::operator()(
+    const std::vector<VertexId>& sorted) const {
+  return static_cast<std::size_t>(blockKey(sorted));
 }
 
 MemDagOracle::MemDagOracle(const graph::Dag& g, OracleOptions options)
@@ -82,8 +87,7 @@ TraversalResult MemDagOracle::bestTraversal(
   std::vector<VertexId> sorted = canonical(blockVertices);
   graph::SubDag sub = graph::inducedSubgraph(g_, sorted);
   TraversalResult local = evaluate(sub);
-  const std::uint64_t key = options_.memoKey(sorted);
-  memo_.insert_or_assign(key, MemoEntry{std::move(sorted), local.peak});
+  memo_.insert_or_assign(std::move(sorted), local.peak);
   // Translate local ids back to the workflow's vertex ids.
   TraversalResult result;
   result.peak = local.peak;
@@ -101,17 +105,10 @@ double MemDagOracle::blockRequirement(
     return g_.taskMemoryRequirement(blockVertices.front());
   }
   std::vector<VertexId> sorted = canonical(blockVertices);
-  const std::uint64_t key = options_.memoKey(sorted);
-  const auto it = memo_.find(key);
-  if (it != memo_.end() && it->second.members == sorted) {
-    return it->second.peak;
-  }
+  if (const auto it = memo_.find(sorted); it != memo_.end()) return it->second;
   const graph::SubDag sub = graph::inducedSubgraph(g_, sorted);
   const double peak = evaluate(sub).peak;
-  // A colliding key keeps its first entry; this set just stays unmemoized.
-  if (it == memo_.end()) {
-    memo_.emplace(key, MemoEntry{std::move(sorted), peak});
-  }
+  memo_.emplace(std::move(sorted), peak);
   return peak;
 }
 

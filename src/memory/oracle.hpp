@@ -28,19 +28,11 @@ struct TraversalResult {
   std::vector<graph::VertexId> order;  // original vertex ids
 };
 
-/// 64-bit hash of a sorted member set: the oracle memo's key.
-[[nodiscard]] std::uint64_t blockKey(
-    std::span<const graph::VertexId> sorted) noexcept;
-
 struct OracleOptions {
   std::size_t exactThreshold = 12;  // exact DP below this block size
   bool useSpSchedule = true;   // TTSP recognition + Liu merges
   bool useGreedy = true;       // greedy + DFS traversal portfolio
   bool useSpization = true;    // layer-barrier SP-ization order
-  /// Memo key of a sorted member set. Memo entries keep their members and
-  /// are compared on every hit, so a colliding key costs an evaluation,
-  /// never a wrong peak (tests inject a constant key to force collisions).
-  std::uint64_t (*memoKey)(std::span<const graph::VertexId>) = &blockKey;
 };
 
 class MemDagOracle {
@@ -62,16 +54,21 @@ class MemDagOracle {
   [[nodiscard]] std::size_t evaluations() const noexcept { return evals_; }
 
  private:
-  struct MemoEntry {
-    std::vector<graph::VertexId> members;  // sorted; verified on every hit
-    double peak = 0.0;
+  // Not noexcept on purpose: libstdc++ then stores each node's hash, so a
+  // lookup or rehash never re-hashes the member sets already stored.
+  struct MemberSetHash {
+    std::size_t operator()(const std::vector<graph::VertexId>& sorted) const;
   };
 
   [[nodiscard]] TraversalResult evaluate(const graph::SubDag& sub) const;
 
   const graph::Dag& g_;
   OracleOptions options_;
-  mutable std::unordered_map<std::uint64_t, MemoEntry> memo_;
+  // Keyed by the sorted member set itself, so a hit always compares the
+  // members and two sets sharing a hash never share a peak.
+  mutable std::unordered_map<std::vector<graph::VertexId>, double,
+                             MemberSetHash>
+      memo_;
   mutable std::size_t evals_ = 0;
 };
 

@@ -392,31 +392,35 @@ TEST(Oracle, MemoizesRepeatedBlocks) {
   EXPECT_EQ(oracle.evaluations(), evalsAfterFirst);  // served from memo
 }
 
-/// With every member set hashed to one key, each lookup collides: the memo
-/// must compare members and re-evaluate instead of returning the peak of
-/// whichever block was stored first.
-TEST(Oracle, MemoVerifiesMembersOnKeyCollision) {
+/// The memo is keyed by the member set itself: many distinct sets share
+/// hash buckets, yet each lookup returns its own set's peak, and a set passed
+/// in another order hits the entry its sorted members made.
+TEST(Oracle, MemoServesEachMemberSetItsOwnPeak) {
   const Dag g = test::randomLayeredDag(5, 4, 2, 9);
-  std::vector<VertexId> head, tail;
-  for (VertexId v = 0; v < g.numVertices(); ++v) {
-    (v < g.numVertices() / 2 ? head : tail).push_back(v);
+  const VertexId n = g.numVertices();
+  std::vector<std::vector<VertexId>> windows;
+  for (VertexId lo = 0; lo < n; ++lo) {
+    for (VertexId hi = lo + 2; hi <= n; ++hi) {
+      std::vector<VertexId> w;
+      for (VertexId v = lo; v < hi; ++v) w.push_back(v);
+      windows.push_back(std::move(w));
+    }
   }
-  const MemDagOracle reference(g);
-  ASSERT_NE(reference.blockRequirement(head), reference.blockRequirement(tail));
+  std::vector<double> expected;
+  for (const std::vector<VertexId>& w : windows) {
+    expected.push_back(MemDagOracle(g).blockRequirement(w));
+  }
 
-  OracleOptions options;
-  options.memoKey = [](std::span<const VertexId>) -> std::uint64_t {
-    return 42;
-  };
-  const MemDagOracle oracle(g, options);
-  EXPECT_EQ(oracle.blockRequirement(head), reference.blockRequirement(head));
-  EXPECT_EQ(oracle.blockRequirement(tail), reference.blockRequirement(tail));
-  EXPECT_EQ(oracle.evaluations(), 2u);
-  // The first set owns the key and hits; the colliding one re-evaluates.
-  EXPECT_EQ(oracle.blockRequirement(head), reference.blockRequirement(head));
-  EXPECT_EQ(oracle.evaluations(), 2u);
-  EXPECT_EQ(oracle.blockRequirement(tail), reference.blockRequirement(tail));
-  EXPECT_EQ(oracle.evaluations(), 3u);
+  const MemDagOracle oracle(g);
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    EXPECT_EQ(oracle.blockRequirement(windows[i]), expected[i]) << i;
+  }
+  EXPECT_EQ(oracle.evaluations(), windows.size());
+  for (std::size_t i = windows.size(); i-- > 0;) {
+    std::vector<VertexId> reversed(windows[i].rbegin(), windows[i].rend());
+    EXPECT_EQ(oracle.blockRequirement(reversed), expected[i]) << i;
+  }
+  EXPECT_EQ(oracle.evaluations(), windows.size());  // every lookup hit
 }
 
 TEST(Oracle, EmptyBlockIsFree) {
