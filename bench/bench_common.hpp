@@ -83,6 +83,20 @@ class BenchContext {
     return env_.sweep.empty() ? "doubling" : env_.sweep;
   }
 
+  /// The "meta" block of the bench's JSON document: scale, sweep and seeds,
+  /// plus the bench's own `extra` entries. All values are strings.
+  [[nodiscard]] support::JsonObject meta(
+      const std::map<std::string, std::string>& extra = {}) const {
+    support::JsonObject meta;
+    meta["scale"] = support::JsonValue(scaleName());
+    meta["sweep"] = support::JsonValue(sweepName());
+    meta["seeds"] = support::JsonValue(std::to_string(env_.seeds));
+    for (const auto& [key, value] : extra) {
+      meta[key] = support::JsonValue(value);
+    }
+    return meta;
+  }
+
   [[nodiscard]] std::string scaleName() const {
     switch (env_.scale) {
       case support::BenchScale::kQuick: return "quick";
@@ -124,27 +138,13 @@ inline void printPreamble(const BenchContext& ctx, const std::string& title,
 inline int finish(const BenchContext& ctx, const std::string& name,
                   const experiments::OutcomeGroups& groups,
                   bool requireFeasible = true) {
-  const std::map<std::string, std::string> meta = {
-      {"scale", ctx.scaleName()},
-      {"sweep", ctx.sweepName()},
-      {"seeds", std::to_string(ctx.env().seeds)},
-  };
-  // Attempt both exports before failing: a bad DAGPM_CSV directory must not
-  // also drop the JSON trajectory record (or vice versa).
-  bool csvError = false;
-  const std::string csv = experiments::maybeExportCsv(name, groups, &csvError);
-  if (!csv.empty()) std::cout << "raw results: " << csv << "\n";
-  if (csvError) {
-    std::cerr << "error: could not write to the DAGPM_CSV directory\n";
-  }
-  bool jsonError = false;
-  const std::string json =
-      experiments::maybeExportJson(name, groups, meta, &jsonError);
-  if (!json.empty()) std::cout << "aggregate rows: " << json << "\n";
-  if (jsonError) {
-    std::cerr << "error: could not write DAGPM_JSON_OUT\n";
-  }
-  if (csvError || jsonError) return 1;
+  const experiments::ExportResult exported = experiments::maybeExport(
+      name,
+      [&](const std::string& path) {
+        return experiments::exportOutcomesCsv(path, groups);
+      },
+      [&] { return experiments::outcomesToJson(name, groups, ctx.meta()); });
+  if (!exported.ok()) return 1;
   bool anyOutcome = false, anyFeasible = false;
   for (const auto& [config, outcomes] : groups) {
     for (const RunOutcome& out : outcomes) {

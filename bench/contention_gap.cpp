@@ -61,27 +61,19 @@ int main() {
                "/ contention-aware simulated makespan; recovered = share of "
                "the gap\nthe aware search closes\n";
 
-  // Same epilogue contract as bench::finish, over contention outcomes.
-  const std::map<std::string, std::string> meta = {
-      {"scale", ctx.scaleName()},
-      {"sweep", ctx.sweepName()},
-      {"seeds", std::to_string(ctx.env().seeds)},
-      {"comm", "block-synchronous"},
-      {"contention", "1"},
-  };
-  bool csvError = false;
-  const std::string csv = experiments::maybeExportContentionCsv(
-      "contention_gap", outcomes, &csvError);
-  if (!csv.empty()) std::cout << "raw results: " << csv << "\n";
-  if (csvError) {
-    std::cerr << "error: could not write to the DAGPM_CSV directory\n";
-  }
-  bool jsonError = false;
-  const std::string json = experiments::maybeExportContentionJson(
-      "contention_gap", outcomes, meta, &jsonError);
-  if (!json.empty()) std::cout << "aggregate rows: " << json << "\n";
-  if (jsonError) std::cerr << "error: could not write DAGPM_JSON_OUT\n";
-  if (csvError || jsonError) return 1;
+  const experiments::ExportResult exported = experiments::maybeExport(
+      "contention_gap",
+      [&](const std::string& path) {
+        return experiments::writeCsvColumns(
+            path, experiments::contentionCsvColumns(), outcomes);
+      },
+      [&] {
+        return experiments::benchDocument(
+            "contention_gap",
+            ctx.meta({{"comm", "block-synchronous"}, {"contention", "1"}}),
+            experiments::contentionJsonRows(outcomes));
+      });
+  if (!exported.ok()) return 1;
   if (outcomes.empty()) {
     std::cerr << "error: the harness produced no outcomes\n";
     return 1;

@@ -77,28 +77,21 @@ int main() {
                "slowdown (> 1 = recovery-aware rescheduling strictly beats "
                "greedy re-execution)\n";
 
-  // Same epilogue contract as bench::finish, over fault-recovery outcomes.
-  const std::map<std::string, std::string> meta = {
-      {"scale", ctx.scaleName()},
-      {"sweep", ctx.sweepName()},
-      {"seeds", std::to_string(ctx.env().seeds)},
-      {"replications", std::to_string(options.replications)},
-      {"spares", std::to_string(options.spareProcessors)},
-      {"comm", "block-synchronous"},
-  };
-  bool csvError = false;
-  const std::string csv = experiments::maybeExportFaultRecoveryCsv(
-      "fault_recovery", outcomes, &csvError);
-  if (!csv.empty()) std::cout << "raw results: " << csv << "\n";
-  if (csvError) {
-    std::cerr << "error: could not write to the DAGPM_CSV directory\n";
-  }
-  bool jsonError = false;
-  const std::string json = experiments::maybeExportFaultRecoveryJson(
-      "fault_recovery", outcomes, meta, &jsonError);
-  if (!json.empty()) std::cout << "aggregate rows: " << json << "\n";
-  if (jsonError) std::cerr << "error: could not write DAGPM_JSON_OUT\n";
-  if (csvError || jsonError) return 1;
+  const experiments::ExportResult exported = experiments::maybeExport(
+      "fault_recovery",
+      [&](const std::string& path) {
+        return experiments::writeCsvColumns(
+            path, experiments::faultRecoveryCsvColumns(), outcomes);
+      },
+      [&] {
+        return experiments::benchDocument(
+            "fault_recovery",
+            ctx.meta({{"replications", std::to_string(options.replications)},
+                      {"spares", std::to_string(options.spareProcessors)},
+                      {"comm", "block-synchronous"}}),
+            experiments::faultRecoveryJsonRows(outcomes));
+      });
+  if (!exported.ok()) return 1;
   if (outcomes.empty()) {
     std::cerr << "error: no schedule could be executed\n";
     return 1;

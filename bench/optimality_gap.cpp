@@ -383,24 +383,14 @@ int main() {
     row.emplace("portfolio_seconds", support::JsonValue(r.portfolioSeconds));
     rows.emplace_back(std::move(row));
   }
-  support::JsonObject doc;
-  doc.emplace("bench", support::JsonValue(std::string("optimality_gap")));
   support::JsonObject meta;
   meta.emplace("scale", support::JsonValue(std::string(scaleName)));
   meta.emplace("seeds", support::JsonValue(std::to_string(env.seeds)));
-  doc.emplace("meta", support::JsonValue(std::move(meta)));
-  doc.emplace("rows", support::JsonValue(std::move(rows)));
-  doc.emplace("stats", experiments::statsJson());
-
-  const std::string jsonPath = experiments::jsonExportPath();
-  if (!jsonPath.empty()) {
-    if (!experiments::writeJsonDocument(jsonPath,
-                                        support::JsonValue(std::move(doc)))) {
-      std::cerr << "error: could not write DAGPM_JSON_OUT\n";
-      return 1;
-    }
-    std::cout << "\naggregate rows: " << jsonPath << "\n";
-  }
+  const experiments::ExportResult exported =
+      experiments::maybeExport("optimality_gap", nullptr, [&] {
+        return experiments::benchDocument("optimality_gap", meta, rows);
+      });
+  if (!exported.ok()) return 1;
 
   bool anyClosed = false;
   for (const GridRow& r : grid) anyClosed |= r.feasible;

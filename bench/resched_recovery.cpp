@@ -81,27 +81,20 @@ int main() {
                "recovered = share of the no-resched\ndegradation won back "
                "(1 = repaired all the way to the static prediction)\n";
 
-  // Same epilogue contract as bench::finish, over rescheduling outcomes.
-  const std::map<std::string, std::string> meta = {
-      {"scale", ctx.scaleName()},
-      {"sweep", ctx.sweepName()},
-      {"seeds", std::to_string(ctx.env().seeds)},
-      {"replications", std::to_string(options.replications)},
-      {"comm", "block-synchronous"},
-  };
-  bool csvError = false;
-  const std::string csv = experiments::maybeExportReschedulingCsv(
-      "resched_recovery", outcomes, &csvError);
-  if (!csv.empty()) std::cout << "raw results: " << csv << "\n";
-  if (csvError) {
-    std::cerr << "error: could not write to the DAGPM_CSV directory\n";
-  }
-  bool jsonError = false;
-  const std::string json = experiments::maybeExportReschedulingJson(
-      "resched_recovery", outcomes, meta, &jsonError);
-  if (!json.empty()) std::cout << "aggregate rows: " << json << "\n";
-  if (jsonError) std::cerr << "error: could not write DAGPM_JSON_OUT\n";
-  if (csvError || jsonError) return 1;
+  const experiments::ExportResult exported = experiments::maybeExport(
+      "resched_recovery",
+      [&](const std::string& path) {
+        return experiments::writeCsvColumns(
+            path, experiments::reschedulingCsvColumns(), outcomes);
+      },
+      [&] {
+        return experiments::benchDocument(
+            "resched_recovery",
+            ctx.meta({{"replications", std::to_string(options.replications)},
+                      {"comm", "block-synchronous"}}),
+            experiments::reschedulingJsonRows(outcomes));
+      });
+  if (!exported.ok()) return 1;
   if (outcomes.empty()) {
     std::cerr << "error: no schedule could be executed\n";
     return 1;

@@ -65,28 +65,22 @@ int main() {
                "< 1x mean the task-eager\nexecution beats the conservative "
                "block-synchronous prediction\n";
 
-  // Same epilogue contract as bench::finish, over robustness outcomes.
-  const std::map<std::string, std::string> meta = {
-      {"scale", ctx.scaleName()},
-      {"sweep", ctx.sweepName()},
-      {"seeds", std::to_string(ctx.env().seeds)},
-      {"replications", std::to_string(options.robustness.replications)},
-      {"comm", "task-eager"},
-      {"contention", "1"},
-  };
-  bool csvError = false;
-  const std::string csv = experiments::maybeExportRobustnessCsv(
-      "robustness_noise", outcomes, &csvError);
-  if (!csv.empty()) std::cout << "raw results: " << csv << "\n";
-  if (csvError) {
-    std::cerr << "error: could not write to the DAGPM_CSV directory\n";
-  }
-  bool jsonError = false;
-  const std::string json = experiments::maybeExportRobustnessJson(
-      "robustness_noise", outcomes, meta, &jsonError);
-  if (!json.empty()) std::cout << "aggregate rows: " << json << "\n";
-  if (jsonError) std::cerr << "error: could not write DAGPM_JSON_OUT\n";
-  if (csvError || jsonError) return 1;
+  const experiments::ExportResult exported = experiments::maybeExport(
+      "robustness_noise",
+      [&](const std::string& path) {
+        return experiments::writeCsvColumns(
+            path, experiments::robustnessCsvColumns(), outcomes);
+      },
+      [&] {
+        return experiments::benchDocument(
+            "robustness_noise",
+            ctx.meta({{"replications",
+                       std::to_string(options.robustness.replications)},
+                      {"comm", "task-eager"},
+                      {"contention", "1"}}),
+            experiments::robustnessJsonRows(outcomes));
+      });
+  if (!exported.ok()) return 1;
   if (outcomes.empty()) {
     std::cerr << "error: no schedule could be simulated\n";
     return 1;

@@ -1,9 +1,9 @@
 // Scheduler scaling ladder: end-to-end DagHetPart runtime and raw probe
 // throughput with incremental makespan evaluation (the default) versus the
-// DAGPM_FULL_REEVAL full-recompute reference, on a ladder of growing
-// (workflow, cluster) sizes. Not a paper figure — the paper's Table 4
-// reports absolute runtimes; this bench tracks the speedup the
-// quotient::IncrementalEvaluator delta path delivers over the O(V+E)
+// full-recompute reference (SchedulerOptions::fullReevaluation), on a
+// ladder of growing (workflow, cluster) sizes. Not a paper figure — the
+// paper's Table 4 reports absolute runtimes; this bench tracks the speedup
+// the quotient::IncrementalEvaluator delta path delivers over the O(V+E)
 // per-probe recompute, and asserts the two modes produce bit-identical
 // schedules on every rung (exit 1 otherwise).
 //
@@ -357,26 +357,16 @@ int main() {
     row.emplace("peak_rss_mb", support::JsonValue(r.peakRssMb));
     rows.emplace_back(std::move(row));
   }
-  support::JsonObject doc;
-  doc.emplace("bench", support::JsonValue(std::string("scheduler_scaling")));
   support::JsonObject meta;
   meta.emplace("scale", support::JsonValue(std::string(scaleName)));
   // The bench pins a single-k' sweep (see above), whatever DAGPM_SWEEP says.
   meta.emplace("sweep", support::JsonValue(std::string("single")));
   meta.emplace("seeds", support::JsonValue(std::to_string(env.seeds)));
-  doc.emplace("meta", support::JsonValue(std::move(meta)));
-  doc.emplace("rows", support::JsonValue(std::move(rows)));
-  doc.emplace("stats", experiments::statsJson());
-
-  const std::string jsonPath = experiments::jsonExportPath();
-  if (!jsonPath.empty()) {
-    if (!experiments::writeJsonDocument(jsonPath,
-                                        support::JsonValue(std::move(doc)))) {
-      std::cerr << "error: could not write DAGPM_JSON_OUT\n";
-      return 1;
-    }
-    std::cout << "aggregate rows: " << jsonPath << "\n";
-  }
+  const experiments::ExportResult exported =
+      experiments::maybeExport("scheduler_scaling", nullptr, [&] {
+        return experiments::benchDocument("scheduler_scaling", meta, rows);
+      });
+  if (!exported.ok()) return 1;
 
   bool anyFeasible = false;
   for (const RungResult& r : results) anyFeasible |= r.feasible;

@@ -11,7 +11,6 @@
 #include "memory/oracle.hpp"
 #include "scheduler/solution.hpp"
 #include "sim/engine.hpp"
-#include "support/csv.hpp"
 #include "support/stats.hpp"
 
 namespace dagpm::experiments {
@@ -158,40 +157,35 @@ aggregateContention(const std::vector<ContentionOutcome>& outcomes) {
   return result;
 }
 
-bool exportContentionCsv(const std::string& path,
-                         const std::vector<ContentionOutcome>& outcomes) {
-  std::vector<std::vector<std::string>> rows;
-  const auto& fmt = formatG6;
-  for (const ContentionOutcome& out : outcomes) {
-    rows.push_back({
-        out.config,
-        out.instance,
-        workflows::sizeBandName(out.band),
-        out.family,
-        std::to_string(out.numTasks),
-        fmt(out.ccr),
-        out.obliviousFeasible ? "1" : "0",
-        out.awareFeasible ? "1" : "0",
-        fmt(out.obliviousStatic),
-        fmt(out.obliviousPredicted),
-        fmt(out.obliviousSimulated),
-        fmt(out.awareStatic),
-        fmt(out.awarePredicted),
-        fmt(out.awareSimulated),
-    });
-  }
-  return support::writeCsv(
-      path,
-      {"config", "instance", "band", "family", "tasks", "ccr",
-       "oblivious_feasible", "aware_feasible", "oblivious_static",
-       "oblivious_predicted", "oblivious_simulated", "aware_static",
-       "aware_predicted", "aware_simulated"},
-      rows);
+CsvColumns<ContentionOutcome> contentionCsvColumns() {
+  using O = ContentionOutcome;
+  return {
+      {"config", [](const O& o) { return o.config; }},
+      {"instance", [](const O& o) { return o.instance; }},
+      {"band", [](const O& o) { return workflows::sizeBandName(o.band); }},
+      {"family", [](const O& o) { return o.family; }},
+      {"tasks", [](const O& o) { return std::to_string(o.numTasks); }},
+      {"ccr", [](const O& o) { return formatG6(o.ccr); }},
+      {"oblivious_feasible",
+       [](const O& o) { return formatFlag(o.obliviousFeasible); }},
+      {"aware_feasible",
+       [](const O& o) { return formatFlag(o.awareFeasible); }},
+      {"oblivious_static",
+       [](const O& o) { return formatG6(o.obliviousStatic); }},
+      {"oblivious_predicted",
+       [](const O& o) { return formatG6(o.obliviousPredicted); }},
+      {"oblivious_simulated",
+       [](const O& o) { return formatG6(o.obliviousSimulated); }},
+      {"aware_static", [](const O& o) { return formatG6(o.awareStatic); }},
+      {"aware_predicted",
+       [](const O& o) { return formatG6(o.awarePredicted); }},
+      {"aware_simulated",
+       [](const O& o) { return formatG6(o.awareSimulated); }},
+  };
 }
 
-support::JsonValue contentionToJson(
-    const std::string& bench, const std::vector<ContentionOutcome>& outcomes,
-    const std::map<std::string, std::string>& meta) {
+support::JsonArray contentionJsonRows(
+    const std::vector<ContentionOutcome>& outcomes) {
   support::JsonArray rows;
   for (const auto& [key, agg] : aggregateContention(outcomes)) {
     support::JsonObject row;
@@ -215,50 +209,7 @@ support::JsonValue contentionToJson(
         support::JsonValue(agg.meanRecoveredFraction);
     rows.push_back(support::JsonValue(std::move(row)));
   }
-
-  support::JsonObject metaObj;
-  for (const auto& [key, value] : meta) {
-    metaObj[key] = support::JsonValue(value);
-  }
-
-  support::JsonObject doc;
-  doc["schema_version"] = support::JsonValue(1.0);
-  doc["bench"] = support::JsonValue(bench);
-  doc["meta"] = support::JsonValue(std::move(metaObj));
-  doc["rows"] = support::JsonValue(std::move(rows));
-  return support::JsonValue(std::move(doc));
-}
-
-bool exportContentionJson(const std::string& path, const std::string& bench,
-                          const std::vector<ContentionOutcome>& outcomes,
-                          const std::map<std::string, std::string>& meta) {
-  return writeJsonDocument(path, contentionToJson(bench, outcomes, meta));
-}
-
-std::string maybeExportContentionCsv(
-    const std::string& name, const std::vector<ContentionOutcome>& outcomes,
-    bool* error) {
-  if (error != nullptr) *error = false;
-  const std::string path = csvExportPath(name);
-  if (path.empty()) return "";
-  if (!exportContentionCsv(path, outcomes)) {
-    if (error != nullptr) *error = true;
-    return "";
-  }
-  return path;
-}
-
-std::string maybeExportContentionJson(
-    const std::string& bench, const std::vector<ContentionOutcome>& outcomes,
-    const std::map<std::string, std::string>& meta, bool* error) {
-  if (error != nullptr) *error = false;
-  const std::string path = jsonExportPath();
-  if (path.empty()) return "";
-  if (!exportContentionJson(path, bench, outcomes, meta)) {
-    if (error != nullptr) *error = true;
-    return "";
-  }
-  return path;
+  return rows;
 }
 
 }  // namespace dagpm::experiments

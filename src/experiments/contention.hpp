@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "experiments/export.hpp"
 #include "experiments/harness.hpp"
 #include "support/json.hpp"
 
@@ -86,27 +87,11 @@ struct ContentionAggregate {
 std::map<std::pair<std::string, std::string>, ContentionAggregate>
 aggregateContention(const std::vector<ContentionOutcome>& outcomes);
 
-/// One CSV row per outcome. Returns false on I/O failure.
-bool exportContentionCsv(const std::string& path,
-                         const std::vector<ContentionOutcome>& outcomes);
+/// The DAGPM_CSV columns, one row per outcome.
+CsvColumns<ContentionOutcome> contentionCsvColumns();
 
-/// JSON document {"schema_version", "bench", "meta", "rows"} with one row
-/// per (config, band) aggregate — the DAGPM_JSON_OUT record.
-support::JsonValue contentionToJson(
-    const std::string& bench, const std::vector<ContentionOutcome>& outcomes,
-    const std::map<std::string, std::string>& meta = {});
-
-bool exportContentionJson(const std::string& path, const std::string& bench,
-                          const std::vector<ContentionOutcome>& outcomes,
-                          const std::map<std::string, std::string>& meta = {});
-
-/// DAGPM_CSV / DAGPM_JSON_OUT variants, mirroring experiments/export.hpp.
-std::string maybeExportContentionCsv(
-    const std::string& name, const std::vector<ContentionOutcome>& outcomes,
-    bool* error = nullptr);
-std::string maybeExportContentionJson(
-    const std::string& bench, const std::vector<ContentionOutcome>& outcomes,
-    const std::map<std::string, std::string>& meta = {},
-    bool* error = nullptr);
+/// The DAGPM_JSON_OUT rows, one per (config, band) aggregate.
+support::JsonArray contentionJsonRows(
+    const std::vector<ContentionOutcome>& outcomes);
 
 }  // namespace dagpm::experiments

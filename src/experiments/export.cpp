@@ -2,13 +2,43 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iostream>
 
 #include "obs/obs.hpp"
-#include "support/csv.hpp"
 #include "support/env.hpp"
 #include "workflows/families.hpp"
 
 namespace dagpm::experiments {
+
+namespace {
+
+/// Serializes `doc` to `path` with a trailing newline; returns false on I/O
+/// failure, including buffered writes failing at flush time.
+bool writeJsonDocument(const std::string& path,
+                       const support::JsonValue& doc) {
+  std::ofstream out(path);
+  if (!out) return false;
+  out << doc.dump() << '\n';
+  out.close();
+  return !out.fail();
+}
+
+support::JsonValue statsJson() {
+  support::JsonObject stats;
+  if (obs::countersEnabled()) {
+    for (const obs::CounterValue& c : obs::counterSnapshot()) {
+      stats[c.name] = support::JsonValue(static_cast<double>(c.value));
+    }
+  }
+  for (const obs::SpanAggregate& s : obs::spanAggregates()) {
+    stats["span." + s.name + "_calls"] =
+        support::JsonValue(static_cast<double>(s.calls));
+    stats["span." + s.name + "_seconds"] = support::JsonValue(s.seconds);
+  }
+  return support::JsonValue(std::move(stats));
+}
+
+}  // namespace
 
 std::string formatG6(double v) {
   char buf[64];
@@ -16,79 +46,91 @@ std::string formatG6(double v) {
   return buf;
 }
 
-bool writeJsonDocument(const std::string& path,
-                       const support::JsonValue& doc) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << doc.dump() << '\n';
-  // Close before checking: buffered writes can fail at flush time (e.g. a
-  // full disk) and must not be reported as success.
-  out.close();
-  return !out.fail();
+support::JsonValue benchDocument(const std::string& bench,
+                                 support::JsonObject meta,
+                                 support::JsonArray rows) {
+  support::JsonObject doc;
+  doc["schema_version"] = support::JsonValue(1.0);
+  doc["bench"] = support::JsonValue(bench);
+  doc["meta"] = support::JsonValue(std::move(meta));
+  doc["rows"] = support::JsonValue(std::move(rows));
+  doc["stats"] = statsJson();
+  return support::JsonValue(std::move(doc));
 }
 
-std::string csvExportPath(const std::string& name) {
-  const std::string dir = support::getEnvOr("DAGPM_CSV", "");
-  return dir.empty() ? "" : dir + "/" + name + ".csv";
-}
-
-std::string jsonExportPath() {
-  return support::getEnvOr("DAGPM_JSON_OUT", "");
-}
-
-bool exportOutcomesCsv(const std::string& path, const OutcomeGroups& groups) {
-  std::vector<std::vector<std::string>> rows;
-  const auto& fmt = formatG6;
-  for (const auto& [config, outcomes] : groups) {
-    for (const RunOutcome& out : outcomes) {
-      const bool both = out.partFeasible && out.memFeasible;
-      rows.push_back({
-          config,
-          out.instance,
-          workflows::sizeBandName(out.band),
-          out.family,
-          std::to_string(out.numTasks),
-          out.partFeasible ? "1" : "0",
-          out.memFeasible ? "1" : "0",
-          fmt(out.partMakespan),
-          fmt(out.memMakespan),
-          both && out.memMakespan > 0.0
-              ? fmt(out.partMakespan / out.memMakespan)
-              : "",
-          fmt(out.partSeconds),
-          fmt(out.memSeconds),
-      });
+ExportResult maybeExport(const std::string& name, const CsvWriter& writeCsv,
+                         const std::function<support::JsonValue()>& document) {
+  ExportResult result;
+  const std::string csvDir = support::getEnvOr("DAGPM_CSV", "");
+  if (!csvDir.empty() && writeCsv) {
+    const std::string path = csvDir + "/" + name + ".csv";
+    if (writeCsv(path)) {
+      result.csvPath = path;
+      std::cout << "raw results: " << path << "\n";
+    } else {
+      result.csvError = true;
+      std::cerr << "error: could not write to the DAGPM_CSV directory\n";
     }
   }
-  return support::writeCsv(
-      path,
-      {"config", "instance", "band", "family", "tasks", "part_feasible",
-       "mem_feasible", "part_makespan", "mem_makespan", "ratio",
-       "part_seconds", "mem_seconds"},
-      rows);
-}
-
-bool exportOutcomesCsv(const std::string& path,
-                       const std::vector<RunOutcome>& outcomes) {
-  return exportOutcomesCsv(path, OutcomeGroups{{"", outcomes}});
-}
-
-std::string maybeExportCsv(const std::string& name,
-                           const OutcomeGroups& groups, bool* error) {
-  if (error != nullptr) *error = false;
-  const std::string path = csvExportPath(name);
-  if (path.empty()) return "";
-  if (!exportOutcomesCsv(path, groups)) {
-    if (error != nullptr) *error = true;
-    return "";
+  const std::string jsonPath = support::getEnvOr("DAGPM_JSON_OUT", "");
+  if (!jsonPath.empty()) {
+    if (writeJsonDocument(jsonPath, document())) {
+      result.jsonPath = jsonPath;
+      std::cout << "aggregate rows: " << jsonPath << "\n";
+    } else {
+      result.jsonError = true;
+      std::cerr << "error: could not write DAGPM_JSON_OUT\n";
+    }
   }
-  return path;
+  return result;
 }
 
-std::string maybeExportCsv(const std::string& name,
-                           const std::vector<RunOutcome>& outcomes,
-                           bool* error) {
-  return maybeExportCsv(name, OutcomeGroups{{"", outcomes}}, error);
+namespace {
+
+/// One row of the outcome CSV: an outcome and the configuration it ran in.
+struct ConfigOutcome {
+  const std::string* config;
+  const RunOutcome* out;
+};
+
+CsvColumns<ConfigOutcome> outcomeCsvColumns() {
+  using R = ConfigOutcome;
+  return {
+      {"config", [](const R& r) { return *r.config; }},
+      {"instance", [](const R& r) { return r.out->instance; }},
+      {"band",
+       [](const R& r) { return workflows::sizeBandName(r.out->band); }},
+      {"family", [](const R& r) { return r.out->family; }},
+      {"tasks", [](const R& r) { return std::to_string(r.out->numTasks); }},
+      {"part_feasible",
+       [](const R& r) { return formatFlag(r.out->partFeasible); }},
+      {"mem_feasible",
+       [](const R& r) { return formatFlag(r.out->memFeasible); }},
+      {"part_makespan",
+       [](const R& r) { return formatG6(r.out->partMakespan); }},
+      {"mem_makespan",
+       [](const R& r) { return formatG6(r.out->memMakespan); }},
+      {"ratio",
+       [](const R& r) {
+         const RunOutcome& out = *r.out;
+         return out.partFeasible && out.memFeasible && out.memMakespan > 0.0
+                    ? formatG6(out.partMakespan / out.memMakespan)
+                    : std::string();
+       }},
+      {"part_seconds",
+       [](const R& r) { return formatG6(r.out->partSeconds); }},
+      {"mem_seconds", [](const R& r) { return formatG6(r.out->memSeconds); }},
+  };
+}
+
+}  // namespace
+
+bool exportOutcomesCsv(const std::string& path, const OutcomeGroups& groups) {
+  std::vector<ConfigOutcome> rows;
+  for (const auto& [config, outcomes] : groups) {
+    for (const RunOutcome& out : outcomes) rows.push_back({&config, &out});
+  }
+  return writeCsvColumns(path, outcomeCsvColumns(), rows);
 }
 
 support::JsonValue aggregateToJson(const Aggregate& agg) {
@@ -118,8 +160,7 @@ constexpr char kGroupSep = '|';
 
 support::JsonValue rowJson(const std::string& config, const std::string& band,
                            const std::string& family, const Aggregate& agg) {
-  support::JsonValue row = aggregateToJson(agg);
-  support::JsonObject obj = row.asObject();
+  support::JsonObject obj = aggregateToJson(agg).asObject();
   obj["config"] = support::JsonValue(config);
   obj["band"] = support::JsonValue(band);
   obj["family"] = support::JsonValue(family);
@@ -128,24 +169,9 @@ support::JsonValue rowJson(const std::string& config, const std::string& band,
 
 }  // namespace
 
-support::JsonValue statsJson() {
-  support::JsonObject stats;
-  if (obs::countersEnabled()) {
-    for (const obs::CounterValue& c : obs::counterSnapshot()) {
-      stats[c.name] = support::JsonValue(static_cast<double>(c.value));
-    }
-  }
-  for (const obs::SpanAggregate& s : obs::spanAggregates()) {
-    stats["span." + s.name + "_calls"] =
-        support::JsonValue(static_cast<double>(s.calls));
-    stats["span." + s.name + "_seconds"] = support::JsonValue(s.seconds);
-  }
-  return support::JsonValue(std::move(stats));
-}
-
-support::JsonValue outcomesToJson(
-    const std::string& bench, const OutcomeGroups& groups,
-    const std::map<std::string, std::string>& meta) {
+support::JsonValue outcomesToJson(const std::string& bench,
+                                  const OutcomeGroups& groups,
+                                  support::JsonObject meta) {
   support::JsonArray rows;
   std::vector<RunOutcome> all;
   for (const auto& [config, outcomes] : groups) {
@@ -166,62 +192,13 @@ support::JsonValue outcomesToJson(
     }
   }
 
-  support::JsonObject metaObj;
-  for (const auto& [key, value] : meta) {
-    metaObj[key] = support::JsonValue(value);
-  }
-
-  support::JsonObject doc;
-  doc["schema_version"] = support::JsonValue(1.0);
-  doc["bench"] = support::JsonValue(bench);
-  doc["meta"] = support::JsonValue(std::move(metaObj));
-  doc["rows"] = support::JsonValue(std::move(rows));
-  doc["stats"] = statsJson();
+  support::JsonObject doc =
+      benchDocument(bench, std::move(meta), std::move(rows)).asObject();
   doc["overall"] = aggregateToJson(
       aggregateBy(all, [](const RunOutcome&) {
         return std::string("all");
       })["all"]);
   return support::JsonValue(std::move(doc));
-}
-
-support::JsonValue outcomesToJson(
-    const std::string& bench, const std::vector<RunOutcome>& outcomes,
-    const std::map<std::string, std::string>& meta) {
-  return outcomesToJson(bench, OutcomeGroups{{"", outcomes}}, meta);
-}
-
-bool exportAggregatesJson(const std::string& path, const std::string& bench,
-                          const OutcomeGroups& groups,
-                          const std::map<std::string, std::string>& meta) {
-  return writeJsonDocument(path, outcomesToJson(bench, groups, meta));
-}
-
-bool exportAggregatesJson(const std::string& path, const std::string& bench,
-                          const std::vector<RunOutcome>& outcomes,
-                          const std::map<std::string, std::string>& meta) {
-  return exportAggregatesJson(path, bench, OutcomeGroups{{"", outcomes}},
-                              meta);
-}
-
-std::string maybeExportJson(const std::string& bench,
-                            const OutcomeGroups& groups,
-                            const std::map<std::string, std::string>& meta,
-                            bool* error) {
-  if (error != nullptr) *error = false;
-  const std::string path = jsonExportPath();
-  if (path.empty()) return "";
-  if (!exportAggregatesJson(path, bench, groups, meta)) {
-    if (error != nullptr) *error = true;
-    return "";
-  }
-  return path;
-}
-
-std::string maybeExportJson(const std::string& bench,
-                            const std::vector<RunOutcome>& outcomes,
-                            const std::map<std::string, std::string>& meta,
-                            bool* error) {
-  return maybeExportJson(bench, OutcomeGroups{{"", outcomes}}, meta, error);
 }
 
 }  // namespace dagpm::experiments

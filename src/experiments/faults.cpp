@@ -7,7 +7,6 @@
 
 #include "experiments/export.hpp"
 #include "sim/perturbation.hpp"
-#include "support/csv.hpp"
 #include "support/stats.hpp"
 
 namespace dagpm::experiments {
@@ -226,51 +225,47 @@ std::map<FaultKey, FaultAggregate> aggregateFaultRecovery(
   return result;
 }
 
-bool exportFaultRecoveryCsv(const std::string& path,
-                            const std::vector<FaultOutcome>& outcomes) {
-  std::vector<std::vector<std::string>> rows;
-  const auto& fmt = formatG6;
-  for (const FaultOutcome& out : outcomes) {
-    rows.push_back({
-        out.level,
-        out.scheduler,
-        out.instance,
-        workflows::sizeBandName(out.band),
-        out.family,
-        std::to_string(out.numTasks),
-        out.ok ? "1" : "0",
-        fmt(out.staticMakespan),
-        fmt(out.meanAware),
-        fmt(out.meanGreedy),
-        fmt(out.meanAwareSlowdown),
-        fmt(out.meanGreedySlowdown),
-        fmt(out.meanRecoveredFraction),
-        std::to_string(out.faultyRuns),
-        std::to_string(out.failStops),
-        std::to_string(out.crashes),
-        std::to_string(out.tasksKilled),
-        std::to_string(out.evacuations),
-        std::to_string(out.retries),
-        std::to_string(out.greedyWins),
-        std::to_string(out.searchWins),
-        std::to_string(out.unrecovered),
-        std::to_string(out.replications),
-    });
-  }
-  return support::writeCsv(
-      path,
-      {"level", "scheduler", "instance", "band", "family", "tasks", "ok",
-       "static_makespan", "mean_aware_makespan", "mean_greedy_makespan",
-       "mean_aware_slowdown", "mean_greedy_slowdown", "recovered_fraction",
-       "faulty_runs", "fail_stops", "crashes", "tasks_killed", "evacuations",
-       "retries", "greedy_wins", "search_wins", "unrecovered",
-       "replications"},
-      rows);
+CsvColumns<FaultOutcome> faultRecoveryCsvColumns() {
+  using O = FaultOutcome;
+  return {
+      {"level", [](const O& o) { return o.level; }},
+      {"scheduler", [](const O& o) { return o.scheduler; }},
+      {"instance", [](const O& o) { return o.instance; }},
+      {"band", [](const O& o) { return workflows::sizeBandName(o.band); }},
+      {"family", [](const O& o) { return o.family; }},
+      {"tasks", [](const O& o) { return std::to_string(o.numTasks); }},
+      {"ok", [](const O& o) { return formatFlag(o.ok); }},
+      {"static_makespan",
+       [](const O& o) { return formatG6(o.staticMakespan); }},
+      {"mean_aware_makespan",
+       [](const O& o) { return formatG6(o.meanAware); }},
+      {"mean_greedy_makespan",
+       [](const O& o) { return formatG6(o.meanGreedy); }},
+      {"mean_aware_slowdown",
+       [](const O& o) { return formatG6(o.meanAwareSlowdown); }},
+      {"mean_greedy_slowdown",
+       [](const O& o) { return formatG6(o.meanGreedySlowdown); }},
+      {"recovered_fraction",
+       [](const O& o) { return formatG6(o.meanRecoveredFraction); }},
+      {"faulty_runs", [](const O& o) { return std::to_string(o.faultyRuns); }},
+      {"fail_stops", [](const O& o) { return std::to_string(o.failStops); }},
+      {"crashes", [](const O& o) { return std::to_string(o.crashes); }},
+      {"tasks_killed",
+       [](const O& o) { return std::to_string(o.tasksKilled); }},
+      {"evacuations",
+       [](const O& o) { return std::to_string(o.evacuations); }},
+      {"retries", [](const O& o) { return std::to_string(o.retries); }},
+      {"greedy_wins", [](const O& o) { return std::to_string(o.greedyWins); }},
+      {"search_wins", [](const O& o) { return std::to_string(o.searchWins); }},
+      {"unrecovered",
+       [](const O& o) { return std::to_string(o.unrecovered); }},
+      {"replications",
+       [](const O& o) { return std::to_string(o.replications); }},
+  };
 }
 
-support::JsonValue faultRecoveryToJson(
-    const std::string& bench, const std::vector<FaultOutcome>& outcomes,
-    const std::map<std::string, std::string>& meta) {
+support::JsonArray faultRecoveryJsonRows(
+    const std::vector<FaultOutcome>& outcomes) {
   support::JsonArray rows;
   for (const auto& [key, agg] : aggregateFaultRecovery(outcomes)) {
     support::JsonObject row;
@@ -308,50 +303,7 @@ support::JsonValue faultRecoveryToJson(
         support::JsonValue(agg.meanRecoveredFraction);
     rows.push_back(support::JsonValue(std::move(row)));
   }
-
-  support::JsonObject metaObj;
-  for (const auto& [key, value] : meta) {
-    metaObj[key] = support::JsonValue(value);
-  }
-
-  support::JsonObject doc;
-  doc["schema_version"] = support::JsonValue(1.0);
-  doc["bench"] = support::JsonValue(bench);
-  doc["meta"] = support::JsonValue(std::move(metaObj));
-  doc["rows"] = support::JsonValue(std::move(rows));
-  return support::JsonValue(std::move(doc));
-}
-
-bool exportFaultRecoveryJson(const std::string& path, const std::string& bench,
-                             const std::vector<FaultOutcome>& outcomes,
-                             const std::map<std::string, std::string>& meta) {
-  return writeJsonDocument(path, faultRecoveryToJson(bench, outcomes, meta));
-}
-
-std::string maybeExportFaultRecoveryCsv(
-    const std::string& name, const std::vector<FaultOutcome>& outcomes,
-    bool* error) {
-  if (error != nullptr) *error = false;
-  const std::string path = csvExportPath(name);
-  if (path.empty()) return "";
-  if (!exportFaultRecoveryCsv(path, outcomes)) {
-    if (error != nullptr) *error = true;
-    return "";
-  }
-  return path;
-}
-
-std::string maybeExportFaultRecoveryJson(
-    const std::string& bench, const std::vector<FaultOutcome>& outcomes,
-    const std::map<std::string, std::string>& meta, bool* error) {
-  if (error != nullptr) *error = false;
-  const std::string path = jsonExportPath();
-  if (path.empty()) return "";
-  if (!exportFaultRecoveryJson(path, bench, outcomes, meta)) {
-    if (error != nullptr) *error = true;
-    return "";
-  }
-  return path;
+  return rows;
 }
 
 }  // namespace dagpm::experiments

@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "experiments/export.hpp"
 #include "experiments/harness.hpp"
 #include "resched/resched.hpp"
 #include "sim/fault.hpp"
@@ -135,28 +136,11 @@ using FaultKey = std::pair<std::string, std::string>;  // (level, scheduler)
 std::map<FaultKey, FaultAggregate> aggregateFaultRecovery(
     const std::vector<FaultOutcome>& outcomes);
 
-/// One CSV row per outcome. Returns false on I/O failure.
-bool exportFaultRecoveryCsv(const std::string& path,
-                            const std::vector<FaultOutcome>& outcomes);
+/// The DAGPM_CSV columns, one row per outcome.
+CsvColumns<FaultOutcome> faultRecoveryCsvColumns();
 
-/// JSON document {"schema_version", "bench", "meta", "rows"} with one row
-/// per (level, scheduler) aggregate — the DAGPM_JSON_OUT record.
-support::JsonValue faultRecoveryToJson(
-    const std::string& bench, const std::vector<FaultOutcome>& outcomes,
-    const std::map<std::string, std::string>& meta = {});
-
-bool exportFaultRecoveryJson(
-    const std::string& path, const std::string& bench,
-    const std::vector<FaultOutcome>& outcomes,
-    const std::map<std::string, std::string>& meta = {});
-
-/// DAGPM_CSV / DAGPM_JSON_OUT variants, mirroring experiments/export.hpp.
-std::string maybeExportFaultRecoveryCsv(
-    const std::string& name, const std::vector<FaultOutcome>& outcomes,
-    bool* error = nullptr);
-std::string maybeExportFaultRecoveryJson(
-    const std::string& bench, const std::vector<FaultOutcome>& outcomes,
-    const std::map<std::string, std::string>& meta = {},
-    bool* error = nullptr);
+/// The DAGPM_JSON_OUT rows, one per (level, scheduler) aggregate.
+support::JsonArray faultRecoveryJsonRows(
+    const std::vector<FaultOutcome>& outcomes);
 
 }  // namespace dagpm::experiments

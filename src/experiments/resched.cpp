@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "experiments/export.hpp"
-#include "support/csv.hpp"
 #include "support/stats.hpp"
 
 namespace dagpm::experiments {
@@ -213,46 +212,39 @@ std::map<ReschedKey, ReschedAggregate> aggregateRescheduling(
   return result;
 }
 
-bool exportReschedulingCsv(const std::string& path,
-                           const std::vector<ReschedOutcome>& outcomes) {
-  std::vector<std::vector<std::string>> rows;
-  const auto& fmt = formatG6;
-  for (const ReschedOutcome& out : outcomes) {
-    rows.push_back({
-        out.config,
-        out.policy,
-        out.scheduler,
-        out.instance,
-        workflows::sizeBandName(out.band),
-        out.family,
-        std::to_string(out.numTasks),
-        out.ok ? "1" : "0",
-        fmt(out.staticMakespan),
-        fmt(out.meanFinal),
-        fmt(out.p95Final),
-        fmt(out.meanUnrepaired),
-        fmt(out.meanSlowdown),
-        fmt(out.p95Slowdown),
-        fmt(out.meanUnrepairedSlowdown),
-        fmt(out.meanReschedules),
-        fmt(out.meanTriggers),
-        std::to_string(out.guardTrips),
-        std::to_string(out.replications),
-    });
-  }
-  return support::writeCsv(
-      path,
-      {"config", "policy", "scheduler", "instance", "band", "family", "tasks",
-       "ok", "static_makespan", "mean_final_makespan", "p95_final_makespan",
-       "mean_unrepaired_makespan", "mean_slowdown", "p95_slowdown",
-       "mean_unrepaired_slowdown", "mean_reschedules", "mean_triggers",
-       "guard_trips", "replications"},
-      rows);
+CsvColumns<ReschedOutcome> reschedulingCsvColumns() {
+  using O = ReschedOutcome;
+  return {
+      {"config", [](const O& o) { return o.config; }},
+      {"policy", [](const O& o) { return o.policy; }},
+      {"scheduler", [](const O& o) { return o.scheduler; }},
+      {"instance", [](const O& o) { return o.instance; }},
+      {"band", [](const O& o) { return workflows::sizeBandName(o.band); }},
+      {"family", [](const O& o) { return o.family; }},
+      {"tasks", [](const O& o) { return std::to_string(o.numTasks); }},
+      {"ok", [](const O& o) { return formatFlag(o.ok); }},
+      {"static_makespan",
+       [](const O& o) { return formatG6(o.staticMakespan); }},
+      {"mean_final_makespan",
+       [](const O& o) { return formatG6(o.meanFinal); }},
+      {"p95_final_makespan", [](const O& o) { return formatG6(o.p95Final); }},
+      {"mean_unrepaired_makespan",
+       [](const O& o) { return formatG6(o.meanUnrepaired); }},
+      {"mean_slowdown", [](const O& o) { return formatG6(o.meanSlowdown); }},
+      {"p95_slowdown", [](const O& o) { return formatG6(o.p95Slowdown); }},
+      {"mean_unrepaired_slowdown",
+       [](const O& o) { return formatG6(o.meanUnrepairedSlowdown); }},
+      {"mean_reschedules",
+       [](const O& o) { return formatG6(o.meanReschedules); }},
+      {"mean_triggers", [](const O& o) { return formatG6(o.meanTriggers); }},
+      {"guard_trips", [](const O& o) { return std::to_string(o.guardTrips); }},
+      {"replications",
+       [](const O& o) { return std::to_string(o.replications); }},
+  };
 }
 
-support::JsonValue reschedulingToJson(
-    const std::string& bench, const std::vector<ReschedOutcome>& outcomes,
-    const std::map<std::string, std::string>& meta) {
+support::JsonArray reschedulingJsonRows(
+    const std::vector<ReschedOutcome>& outcomes) {
   support::JsonArray rows;
   for (const auto& [key, agg] : aggregateRescheduling(outcomes)) {
     support::JsonObject row;
@@ -278,50 +270,7 @@ support::JsonValue reschedulingToJson(
     row["guard_trip_fraction"] = support::JsonValue(agg.guardTripFraction);
     rows.push_back(support::JsonValue(std::move(row)));
   }
-
-  support::JsonObject metaObj;
-  for (const auto& [key, value] : meta) {
-    metaObj[key] = support::JsonValue(value);
-  }
-
-  support::JsonObject doc;
-  doc["schema_version"] = support::JsonValue(1.0);
-  doc["bench"] = support::JsonValue(bench);
-  doc["meta"] = support::JsonValue(std::move(metaObj));
-  doc["rows"] = support::JsonValue(std::move(rows));
-  return support::JsonValue(std::move(doc));
-}
-
-bool exportReschedulingJson(const std::string& path, const std::string& bench,
-                            const std::vector<ReschedOutcome>& outcomes,
-                            const std::map<std::string, std::string>& meta) {
-  return writeJsonDocument(path, reschedulingToJson(bench, outcomes, meta));
-}
-
-std::string maybeExportReschedulingCsv(
-    const std::string& name, const std::vector<ReschedOutcome>& outcomes,
-    bool* error) {
-  if (error != nullptr) *error = false;
-  const std::string path = csvExportPath(name);
-  if (path.empty()) return "";
-  if (!exportReschedulingCsv(path, outcomes)) {
-    if (error != nullptr) *error = true;
-    return "";
-  }
-  return path;
-}
-
-std::string maybeExportReschedulingJson(
-    const std::string& bench, const std::vector<ReschedOutcome>& outcomes,
-    const std::map<std::string, std::string>& meta, bool* error) {
-  if (error != nullptr) *error = false;
-  const std::string path = jsonExportPath();
-  if (path.empty()) return "";
-  if (!exportReschedulingJson(path, bench, outcomes, meta)) {
-    if (error != nullptr) *error = true;
-    return "";
-  }
-  return path;
+  return rows;
 }
 
 }  // namespace dagpm::experiments

@@ -13,6 +13,7 @@
 #include <tuple>
 #include <vector>
 
+#include "experiments/export.hpp"
 #include "experiments/harness.hpp"
 #include "experiments/robustness.hpp"
 #include "resched/resched.hpp"
@@ -109,27 +110,11 @@ using ReschedKey = std::tuple<std::string, std::string, std::string>;
 std::map<ReschedKey, ReschedAggregate> aggregateRescheduling(
     const std::vector<ReschedOutcome>& outcomes);
 
-/// One CSV row per outcome. Returns false on I/O failure.
-bool exportReschedulingCsv(const std::string& path,
-                           const std::vector<ReschedOutcome>& outcomes);
+/// The DAGPM_CSV columns, one row per outcome.
+CsvColumns<ReschedOutcome> reschedulingCsvColumns();
 
-/// JSON document {"schema_version", "bench", "meta", "rows"} with one row
-/// per (config, policy, scheduler) aggregate — the DAGPM_JSON_OUT record.
-support::JsonValue reschedulingToJson(
-    const std::string& bench, const std::vector<ReschedOutcome>& outcomes,
-    const std::map<std::string, std::string>& meta = {});
-
-bool exportReschedulingJson(const std::string& path, const std::string& bench,
-                            const std::vector<ReschedOutcome>& outcomes,
-                            const std::map<std::string, std::string>& meta = {});
-
-/// DAGPM_CSV / DAGPM_JSON_OUT variants, mirroring experiments/export.hpp.
-std::string maybeExportReschedulingCsv(
-    const std::string& name, const std::vector<ReschedOutcome>& outcomes,
-    bool* error = nullptr);
-std::string maybeExportReschedulingJson(
-    const std::string& bench, const std::vector<ReschedOutcome>& outcomes,
-    const std::map<std::string, std::string>& meta = {},
-    bool* error = nullptr);
+/// The DAGPM_JSON_OUT rows, one per (config, policy, scheduler) aggregate.
+support::JsonArray reschedulingJsonRows(
+    const std::vector<ReschedOutcome>& outcomes);
 
 }  // namespace dagpm::experiments

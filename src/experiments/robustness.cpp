@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "experiments/export.hpp"
-#include "support/csv.hpp"
 #include "support/stats.hpp"
 
 namespace dagpm::experiments {
@@ -130,44 +129,41 @@ aggregateRobustness(const std::vector<RobustnessOutcome>& outcomes) {
   return result;
 }
 
-bool exportRobustnessCsv(const std::string& path,
-                         const std::vector<RobustnessOutcome>& outcomes) {
-  std::vector<std::vector<std::string>> rows;
-  const auto& fmt = formatG6;
-  for (const RobustnessOutcome& out : outcomes) {
-    const sim::RobustnessSummary& s = out.summary;
-    rows.push_back({
-        out.config,
-        out.scheduler,
-        out.instance,
-        workflows::sizeBandName(out.band),
-        out.family,
-        std::to_string(out.numTasks),
-        s.ok ? "1" : "0",
-        fmt(s.staticMakespan),
-        fmt(s.meanMakespan),
-        fmt(s.p50Makespan),
-        fmt(s.p95Makespan),
-        fmt(s.minMakespan),
-        fmt(s.maxMakespan),
-        fmt(s.meanSlowdown),
-        fmt(s.p95Slowdown),
-        std::to_string(s.overflowRuns),
-        std::to_string(s.replications),
-    });
-  }
-  return support::writeCsv(
-      path,
-      {"config", "scheduler", "instance", "band", "family", "tasks", "ok",
-       "static_makespan", "mean_makespan", "p50_makespan", "p95_makespan",
-       "min_makespan", "max_makespan", "mean_slowdown", "p95_slowdown",
-       "overflow_runs", "replications"},
-      rows);
+CsvColumns<RobustnessOutcome> robustnessCsvColumns() {
+  using O = RobustnessOutcome;
+  return {
+      {"config", [](const O& o) { return o.config; }},
+      {"scheduler", [](const O& o) { return o.scheduler; }},
+      {"instance", [](const O& o) { return o.instance; }},
+      {"band", [](const O& o) { return workflows::sizeBandName(o.band); }},
+      {"family", [](const O& o) { return o.family; }},
+      {"tasks", [](const O& o) { return std::to_string(o.numTasks); }},
+      {"ok", [](const O& o) { return formatFlag(o.summary.ok); }},
+      {"static_makespan",
+       [](const O& o) { return formatG6(o.summary.staticMakespan); }},
+      {"mean_makespan",
+       [](const O& o) { return formatG6(o.summary.meanMakespan); }},
+      {"p50_makespan",
+       [](const O& o) { return formatG6(o.summary.p50Makespan); }},
+      {"p95_makespan",
+       [](const O& o) { return formatG6(o.summary.p95Makespan); }},
+      {"min_makespan",
+       [](const O& o) { return formatG6(o.summary.minMakespan); }},
+      {"max_makespan",
+       [](const O& o) { return formatG6(o.summary.maxMakespan); }},
+      {"mean_slowdown",
+       [](const O& o) { return formatG6(o.summary.meanSlowdown); }},
+      {"p95_slowdown",
+       [](const O& o) { return formatG6(o.summary.p95Slowdown); }},
+      {"overflow_runs",
+       [](const O& o) { return std::to_string(o.summary.overflowRuns); }},
+      {"replications",
+       [](const O& o) { return std::to_string(o.summary.replications); }},
+  };
 }
 
-support::JsonValue robustnessToJson(
-    const std::string& bench, const std::vector<RobustnessOutcome>& outcomes,
-    const std::map<std::string, std::string>& meta) {
+support::JsonArray robustnessJsonRows(
+    const std::vector<RobustnessOutcome>& outcomes) {
   support::JsonArray rows;
   for (const auto& [key, agg] : aggregateRobustness(outcomes)) {
     support::JsonObject row;
@@ -190,50 +186,7 @@ support::JsonValue robustnessToJson(
     row["overflow_fraction"] = support::JsonValue(agg.overflowFraction);
     rows.push_back(support::JsonValue(std::move(row)));
   }
-
-  support::JsonObject metaObj;
-  for (const auto& [key, value] : meta) {
-    metaObj[key] = support::JsonValue(value);
-  }
-
-  support::JsonObject doc;
-  doc["schema_version"] = support::JsonValue(1.0);
-  doc["bench"] = support::JsonValue(bench);
-  doc["meta"] = support::JsonValue(std::move(metaObj));
-  doc["rows"] = support::JsonValue(std::move(rows));
-  return support::JsonValue(std::move(doc));
-}
-
-bool exportRobustnessJson(const std::string& path, const std::string& bench,
-                          const std::vector<RobustnessOutcome>& outcomes,
-                          const std::map<std::string, std::string>& meta) {
-  return writeJsonDocument(path, robustnessToJson(bench, outcomes, meta));
-}
-
-std::string maybeExportRobustnessCsv(
-    const std::string& name, const std::vector<RobustnessOutcome>& outcomes,
-    bool* error) {
-  if (error != nullptr) *error = false;
-  const std::string path = csvExportPath(name);
-  if (path.empty()) return "";
-  if (!exportRobustnessCsv(path, outcomes)) {
-    if (error != nullptr) *error = true;
-    return "";
-  }
-  return path;
-}
-
-std::string maybeExportRobustnessJson(
-    const std::string& bench, const std::vector<RobustnessOutcome>& outcomes,
-    const std::map<std::string, std::string>& meta, bool* error) {
-  if (error != nullptr) *error = false;
-  const std::string path = jsonExportPath();
-  if (path.empty()) return "";
-  if (!exportRobustnessJson(path, bench, outcomes, meta)) {
-    if (error != nullptr) *error = true;
-    return "";
-  }
-  return path;
+  return rows;
 }
 
 }  // namespace dagpm::experiments

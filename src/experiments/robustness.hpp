@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "experiments/export.hpp"
 #include "experiments/harness.hpp"
 #include "sim/robustness.hpp"
 #include "support/json.hpp"
@@ -75,30 +76,11 @@ struct RobustnessAggregate {
 std::map<std::pair<std::string, std::string>, RobustnessAggregate>
 aggregateRobustness(const std::vector<RobustnessOutcome>& outcomes);
 
-/// One CSV row per outcome (config, scheduler, instance, distribution
-/// columns). Returns false on I/O failure.
-bool exportRobustnessCsv(const std::string& path,
-                         const std::vector<RobustnessOutcome>& outcomes);
+/// The DAGPM_CSV columns, one row per outcome.
+CsvColumns<RobustnessOutcome> robustnessCsvColumns();
 
-/// JSON document {"schema_version", "bench", "meta", "rows"} with one row
-/// per (config, scheduler) aggregate — the DAGPM_JSON_OUT record.
-support::JsonValue robustnessToJson(
-    const std::string& bench, const std::vector<RobustnessOutcome>& outcomes,
-    const std::map<std::string, std::string>& meta = {});
-
-bool exportRobustnessJson(const std::string& path, const std::string& bench,
-                          const std::vector<RobustnessOutcome>& outcomes,
-                          const std::map<std::string, std::string>& meta = {});
-
-/// DAGPM_CSV / DAGPM_JSON_OUT variants, mirroring experiments/export.hpp:
-/// return the written path, empty when the variable is unset; *error
-/// distinguishes I/O failure from "not requested".
-std::string maybeExportRobustnessCsv(
-    const std::string& name, const std::vector<RobustnessOutcome>& outcomes,
-    bool* error = nullptr);
-std::string maybeExportRobustnessJson(
-    const std::string& bench, const std::vector<RobustnessOutcome>& outcomes,
-    const std::map<std::string, std::string>& meta = {},
-    bool* error = nullptr);
+/// The DAGPM_JSON_OUT rows, one per (config, scheduler) aggregate.
+support::JsonArray robustnessJsonRows(
+    const std::vector<RobustnessOutcome>& outcomes);
 
 }  // namespace dagpm::experiments

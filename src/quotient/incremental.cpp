@@ -73,10 +73,8 @@ void IncrementalEvaluator::rebuild() {
     for (const auto& [child, cost] : q_->out(b)) {
       best = std::max(best, cost / beta + bottom_[child]);
     }
-    const platform::ProcessorId p = node.proc;
-    const double speed = p == platform::kNoProcessor ? 1.0 : cluster_->speed(p);
     bestTerm_[b] = best;
-    bottom_[b] = node.work / speed + best;
+    bottom_[b] = node.work / blockSpeed(*cluster_, node.proc) + best;
     makespan_ = std::max(makespan_, bottom_[b]);
     values_.emplace(bottom_[b], b);
   }
@@ -91,7 +89,7 @@ double IncrementalEvaluator::speedOf(
       break;
     }
   }
-  return p == platform::kNoProcessor ? 1.0 : cluster_->speed(p);
+  return blockSpeed(*cluster_, p);
 }
 
 double IncrementalEvaluator::repair(Scratch& s,
@@ -348,12 +346,9 @@ void IncrementalEvaluator::commitAssign(std::span<const BlockId> dirtySeeds) {
     // buildQuotientFluid) and re-price it.
     for (const BlockId b : dirtySeeds) {
       const QNode& node = q_->node(b);
-      const platform::ProcessorId p = node.proc;
-      const double speed =
-          p == platform::kNoProcessor ? 1.0 : cluster_->speed(p);
       comm::FluidNode& fn = fluid_->problem.nodes[nodeOfBlock_[b]];
-      fn.duration = node.work / speed;
-      fn.proc = p;
+      fn.duration = node.work / blockSpeed(*cluster_, node.proc);
+      fn.proc = node.proc;
     }
     eval_ = comm_->evaluate(fluid_->problem, cluster_->bandwidth());
     assert(eval_.ok);
@@ -453,8 +448,7 @@ double IncrementalEvaluator::contendedProbe(
     const std::uint32_t idx = nodeOfBlock_[b];
     saved[i] = s.fluid.nodes[idx];
     const platform::ProcessorId p = overrides[i].proc;
-    const double speed = p == platform::kNoProcessor ? 1.0 : cluster_->speed(p);
-    s.fluid.nodes[idx].duration = q_->node(b).work / speed;
+    s.fluid.nodes[idx].duration = q_->node(b).work / blockSpeed(*cluster_, p);
     s.fluid.nodes[idx].proc = p;
   }
   const comm::FluidResult eval =

@@ -39,7 +39,7 @@
 // before re-pricing, skipping the per-probe topological sort and edge-list
 // rebuild of buildQuotientFluid. Structural probes rebuild the fluid (a
 // merge changes the node set). Both paths return values bit-identical to
-// their full counterparts; the DAGPM_FULL_REEVAL=1 escape hatch keeps the
+// their full counterparts; SchedulerOptions::fullReevaluation keeps the
 // full recompute alive as the differential reference.
 
 #include <cstdint>

@@ -347,10 +347,7 @@ MakespanResult computeMakespan(const QuotientGraph& q,
   result.bottomWeight.assign(q.numSlots(), 0.0);
   const double beta = cluster.bandwidth();
 
-  auto speedOf = [&](BlockId b) {
-    const platform::ProcessorId p = q.node(b).proc;
-    return p == platform::kNoProcessor ? 1.0 : cluster.speed(p);
-  };
+  auto speedOf = [&](BlockId b) { return blockSpeed(cluster, q.node(b).proc); };
 
   // Bottom weights in reverse topological order (Eq. (1)).
   for (auto it = order->rbegin(); it != order->rend(); ++it) {
@@ -408,8 +405,7 @@ std::optional<QuotientFluid> buildQuotientFluid(
   for (std::uint32_t i = 0; i < order->size(); ++i) {
     const BlockId b = (*order)[i];
     const platform::ProcessorId p = q.node(b).proc;
-    const double speed = p == platform::kNoProcessor ? 1.0 : cluster.speed(p);
-    fluid.problem.nodes[i].duration = q.node(b).work / speed;
+    fluid.problem.nodes[i].duration = q.node(b).work / blockSpeed(cluster, p);
     fluid.problem.nodes[i].proc = p;
     fluid.problem.order[i] = i;
     // Per-destination in-edges in adjacency (sorted) order: the same term
@@ -500,9 +496,7 @@ std::optional<double> makespanValue(const QuotientGraph& q,
     for (const auto& [child, cost] : q.out(b)) {
       best = std::max(best, cost / beta + bottom[child]);
     }
-    const platform::ProcessorId p = q.node(b).proc;
-    const double speed = p == platform::kNoProcessor ? 1.0 : cluster.speed(p);
-    bottom[b] = q.node(b).work / speed + best;
+    bottom[b] = q.node(b).work / blockSpeed(cluster, q.node(b).proc) + best;
     makespan = std::max(makespan, bottom[b]);
   }
   return makespan;

@@ -36,6 +36,13 @@ namespace dagpm::quotient {
 using BlockId = std::uint32_t;
 inline constexpr BlockId kNoBlock = 0xffffffffu;
 
+/// The speed a block on processor `p` is priced at. A block not yet
+/// assigned (kNoProcessor) stands in at speed 1.0.
+inline double blockSpeed(const platform::Cluster& cluster,
+                         platform::ProcessorId p) {
+  return p == platform::kNoProcessor ? 1.0 : cluster.speed(p);
+}
+
 /// One adjacency entry: (neighbor block, summed edge cost). A block's
 /// entries are sorted by neighbor id, mirroring the legacy map order.
 using AdjEntry = std::pair<BlockId, double>;

@@ -23,11 +23,8 @@ Timeline computeTimeline(const QuotientGraph& q,
     for (const auto& [parent, cost] : q.in(b)) {
       ready = std::max(ready, finish[parent] + cost / beta);
     }
-    const double speed = node.proc == platform::kNoProcessor
-                             ? 1.0
-                             : cluster.speed(node.proc);
     start[b] = ready;
-    finish[b] = ready + node.work / speed;
+    finish[b] = ready + node.work / blockSpeed(cluster, node.proc);
     timeline.makespan = std::max(timeline.makespan, finish[b]);
 
     TimelineEntry entry;

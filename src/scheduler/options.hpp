@@ -18,15 +18,8 @@ struct SchedulerOptions {
   /// recompute instead of the quotient::IncrementalEvaluator delta path.
   /// Schedules are bit-identical either way (fuzz- and baseline-enforced);
   /// the full mode is kept as the differential reference and for the
-  /// bench/scheduler_scaling speedup measurement. DAGPM_FULL_REEVAL=1
-  /// forces it process-wide (see fullReevaluationForced).
+  /// bench/scheduler_scaling speedup measurement.
   bool fullReevaluation = false;
-  /// True once DAGPM_FULL_REEVAL has been folded into `fullReevaluation` by
-  /// resolveEnvironment(); useFullReevaluation then skips the per-solve env
-  /// read entirely. The SchedulerService resolves the environment once at
-  /// construction and stamps every job's options, so concurrent requests
-  /// never race a mid-process setenv and per-request overrides stick.
-  bool envResolved = false;
 };
 
 /// The cost model selected by the options: nullptr = the legacy uncontended
@@ -37,22 +30,9 @@ inline const comm::CommCostModel* commModelFor(
   return options.contentionAware ? &comm::fairShareCommModel() : nullptr;
 }
 
-/// True when DAGPM_FULL_REEVAL is set to a non-empty value other than "0":
-/// the process-wide escape hatch disabling incremental evaluation. Reads
-/// the environment fresh on every call (no process-lifetime cache), so
-/// mid-process changes are visible; resolve once per run at solve entry.
-bool fullReevaluationForced();
-
-/// Folds DAGPM_FULL_REEVAL into the options and marks them resolved; a
-/// no-op when the caller already resolved them. Resolved options are frozen:
-/// later environment changes do not affect them.
-SchedulerOptions resolveEnvironment(SchedulerOptions options);
-
-/// The effective full-reevaluation switch for a scheduler run. Resolved
-/// options answer without touching the environment.
+/// The full-reevaluation switch for a scheduler run.
 inline bool useFullReevaluation(const SchedulerOptions& options) {
-  return options.fullReevaluation ||
-         (!options.envResolved && fullReevaluationForced());
+  return options.fullReevaluation;
 }
 
 }  // namespace dagpm::scheduler

@@ -45,7 +45,7 @@ bool improves(double candidate, double incumbent) {
 
 /// The legacy full-recompute loop, which probes every feasible pair: the
 /// differential reference for the pruned incremental path
-/// (DAGPM_FULL_REEVAL=1 routes here).
+/// (SchedulerOptions::fullReevaluation routes here).
 SwapStepResult improveBySwapsFull(quotient::QuotientGraph& q,
                                   const platform::Cluster& cluster,
                                   const SwapStepConfig& cfg) {

@@ -19,9 +19,8 @@
 // the exact critical path are probed: any other swap leaves the path's
 // length as it was and cannot win. A swap must beat the makespan by a
 // relative margin, so the search does not depend on the unit of time.
-// fullReevaluation (or DAGPM_FULL_REEVAL=1) switches to the legacy
-// full-recompute loop, which probes every pair, kept as the differential
-// reference.
+// fullReevaluation switches to the legacy full-recompute loop, which
+// probes every pair, kept as the differential reference.
 
 #include "comm/cost_model.hpp"
 #include "platform/cluster.hpp"

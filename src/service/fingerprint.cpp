@@ -58,8 +58,8 @@ std::uint64_t fingerprintConfig(const scheduler::DagHetPartConfig& cfg,
   h.mix(static_cast<std::uint64_t>(cfg.step1Balance));
   h.mix(cfg.oracle.exactThreshold);
   // One bit per boolean toggle, packed; parallelSweep and the options'
-  // fullReevaluation/envResolved are excluded (schedules are bit-identical
-  // across them — see the header).
+  // fullReevaluation are excluded (schedules are bit-identical across them
+  // — see the header).
   std::uint64_t bits = 0;
   const auto pack = [&bits](bool b) { bits = (bits << 1) | (b ? 1u : 0u); };
   pack(cfg.oracle.useSpSchedule);

@@ -22,13 +22,7 @@ double secondsSince(Clock::time_point from) {
 }  // namespace
 
 SchedulerService::SchedulerService(ServiceConfig cfg)
-    : cfg_(cfg),
-      // The re-entrancy fix of ISSUE 8: the environment is consulted here,
-      // exactly once, on the constructing thread. Workers only ever see the
-      // resolved per-job options, so a setenv from another thread (or a
-      // later per-request override) cannot corrupt in-flight solves.
-      envFullReeval_(scheduler::fullReevaluationForced()),
-      cache_(cfg.cacheCapacity) {
+    : cfg_(cfg), cache_(cfg.cacheCapacity) {
   const int threads = std::max(1, cfg_.numThreads);
   workers_.reserve(static_cast<std::size_t>(threads));
   for (int i = 0; i < threads; ++i) {
@@ -48,13 +42,6 @@ SchedulerService::~SchedulerService() {
 
 bool SchedulerService::enqueue(Request&& request, std::future<Response>* out,
                                bool blocking) {
-  // Fold the construction-time environment into the job's options unless
-  // the caller resolved them already (their explicit choice then wins).
-  if (!request.config.options.envResolved) {
-    request.config.options.fullReevaluation =
-        request.config.options.fullReevaluation || envFullReeval_;
-    request.config.options.envResolved = true;
-  }
   if (cfg_.singleThreadedJobs) request.config.parallelSweep = false;
   // A poisoned request (null workflow or cluster) is accepted and failed on
   // the worker through the regular exception-isolation path: the error

@@ -8,11 +8,9 @@
 // isomorphic requests from an LRU schedule cache keyed by the canonical
 // fingerprint (service/fingerprint.hpp) — bit-identical to a cold solve.
 //
-// Concurrency-correctness notes (the re-entrancy bugfixes of ISSUE 8):
-//  * DAGPM_FULL_REEVAL is resolved ONCE at service construction and folded
-//    into every job's SchedulerOptions (envResolved); workers never touch
-//    the environment, so a mid-process setenv cannot race the executor and
-//    per-request option overrides always stick.
+// Concurrency-correctness notes:
+//  * Workers read no environment variable: a job's schedule depends on its
+//    request alone, so a mid-process setenv cannot race the executor.
 //  * Identical in-flight requests are coalesced (single-flight): the first
 //    dequeued request solves, duplicates wait on its result. Together with
 //    the cache this makes the set of actual solves — and therefore the
@@ -204,8 +202,6 @@ class SchedulerService {
   bool enqueue(Request&& request, std::future<Response>* out, bool blocking);
 
   ServiceConfig cfg_;
-  /// DAGPM_FULL_REEVAL, read exactly once at construction.
-  bool envFullReeval_ = false;
 
   mutable std::mutex mu_;
   std::condition_variable queueNotFull_;

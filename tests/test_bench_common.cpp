@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -166,7 +167,8 @@ TEST(JsonExport, DocumentCarriesPerFamilyRowsBandRollupsAndOverall) {
       makeOutcome("real-sarek-s1", SizeBand::kReal, "sarek", 90.0, 100.0),
   };
   const support::JsonValue doc = experiments::outcomesToJson(
-      "fig_test", outcomes, {{"scale", "quick"}});
+      "fig_test", experiments::OutcomeGroups{{"", outcomes}},
+      {{"scale", support::JsonValue(std::string("quick"))}});
   EXPECT_EQ(doc.stringOr("bench", ""), "fig_test");
   const support::JsonValue* meta = doc.find("meta");
   ASSERT_NE(meta, nullptr);
@@ -232,28 +234,40 @@ TEST(JsonExport, MultiConfigBenchesKeepPerConfigRows) {
   EXPECT_EQ(overall->numberOr("total", -1), 2);
 }
 
+/// The export epilogue over one RunOutcome group, as bench::finish runs it.
+experiments::ExportResult exportOutcomes(
+    const std::vector<RunOutcome>& outcomes) {
+  const experiments::OutcomeGroups groups = {{"", outcomes}};
+  return experiments::maybeExport(
+      "fig_test",
+      [&](const std::string& path) {
+        return experiments::exportOutcomesCsv(path, groups);
+      },
+      [&] { return experiments::outcomesToJson("fig_test", groups); });
+}
+
 TEST(CsvExport, ReportsWriteFailuresDistinctFromUnsetEnv) {
   const std::vector<RunOutcome> outcomes = {
       makeOutcome("BLAST-n100-s1", SizeBand::kSmall, "BLAST", 40.0, 100.0),
   };
+  ScopedEnv jsonOut("DAGPM_JSON_OUT", nullptr);
   {
     ScopedEnv csv("DAGPM_CSV", nullptr);
-    bool error = true;
-    EXPECT_EQ(experiments::maybeExportCsv("fig_test", outcomes, &error), "");
-    EXPECT_FALSE(error);
+    const experiments::ExportResult result = exportOutcomes(outcomes);
+    EXPECT_EQ(result.csvPath, "");
+    EXPECT_FALSE(result.csvError);
   }
   {
     ScopedEnv csv("DAGPM_CSV", "/nonexistent-dir");
-    bool error = false;
-    EXPECT_EQ(experiments::maybeExportCsv("fig_test", outcomes, &error), "");
-    EXPECT_TRUE(error);
+    const experiments::ExportResult result = exportOutcomes(outcomes);
+    EXPECT_EQ(result.csvPath, "");
+    EXPECT_TRUE(result.csvError);
   }
   ScopedEnv csv("DAGPM_CSV", testing::TempDir().c_str());
-  bool error = true;
-  const std::string path =
-      experiments::maybeExportCsv("fig_test", outcomes, &error);
+  const experiments::ExportResult result = exportOutcomes(outcomes);
+  const std::string path = result.csvPath;
   ASSERT_NE(path, "");
-  EXPECT_FALSE(error);
+  EXPECT_FALSE(result.csvError);
   std::ifstream in(path);
   std::string header;
   ASSERT_TRUE(std::getline(in, header));
@@ -283,19 +297,18 @@ TEST(JsonExport, WritesParseableFileAndHonorsJsonOutEnv) {
       makeOutcome("BLAST-n100-s1", SizeBand::kSmall, "BLAST", 40.0, 100.0),
   };
   const std::string path = testing::TempDir() + "bench_export_test.json";
+  ScopedEnv csv("DAGPM_CSV", nullptr);
   {
     ScopedEnv jsonOut("DAGPM_JSON_OUT", nullptr);
-    bool error = true;
-    EXPECT_EQ(experiments::maybeExportJson("fig_test", outcomes, {}, &error),
-              "");
-    EXPECT_FALSE(error);
+    const experiments::ExportResult result = exportOutcomes(outcomes);
+    EXPECT_EQ(result.jsonPath, "");
+    EXPECT_FALSE(result.jsonError);
   }
   {
     ScopedEnv jsonOut("DAGPM_JSON_OUT", path.c_str());
-    bool error = true;
-    EXPECT_EQ(experiments::maybeExportJson("fig_test", outcomes, {}, &error),
-              path);
-    EXPECT_FALSE(error);
+    const experiments::ExportResult result = exportOutcomes(outcomes);
+    EXPECT_EQ(result.jsonPath, path);
+    EXPECT_FALSE(result.jsonError);
   }
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
@@ -308,10 +321,48 @@ TEST(JsonExport, WritesParseableFileAndHonorsJsonOutEnv) {
 
   // An unwritable path reports the error instead of dying silently.
   ScopedEnv jsonOut("DAGPM_JSON_OUT", "/nonexistent-dir/out.json");
-  bool error = false;
-  EXPECT_EQ(experiments::maybeExportJson("fig_test", outcomes, {}, &error),
-            "");
-  EXPECT_TRUE(error);
+  const experiments::ExportResult result = exportOutcomes(outcomes);
+  EXPECT_EQ(result.jsonPath, "");
+  EXPECT_TRUE(result.jsonError);
+}
+
+TEST(JsonExport, FailedCsvWriteStillWritesTheJsonRecord) {
+  const std::vector<RunOutcome> outcomes = {
+      makeOutcome("BLAST-n100-s1", SizeBand::kSmall, "BLAST", 40.0, 100.0),
+  };
+  const std::string path = testing::TempDir() + "bench_export_both.json";
+  std::remove(path.c_str());
+  ScopedEnv csv("DAGPM_CSV", "/nonexistent-dir");
+  ScopedEnv jsonOut("DAGPM_JSON_OUT", path.c_str());
+  const experiments::ExportResult result = exportOutcomes(outcomes);
+  EXPECT_TRUE(result.csvError);
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(result.jsonPath, path);
+  EXPECT_FALSE(result.jsonError);
+  EXPECT_TRUE(std::ifstream(path).good());
+}
+
+TEST(JsonExport, EveryDocumentHasTheSharedShape) {
+  ScopedEnv quick("DAGPM_QUICK", "1");
+  ScopedEnv full("DAGPM_FULL", nullptr);
+  ScopedEnv seeds("DAGPM_SEEDS", "2");
+  ScopedEnv sweep("DAGPM_SWEEP", nullptr);
+  ScopedEnv cache("DAGPM_CACHE",
+                  (testing::TempDir() + "bench_common_shape.cache").c_str());
+  const bench::BenchContext ctx;
+  const support::JsonValue doc = experiments::benchDocument(
+      "shape_test", ctx.meta({{"comm", "task-eager"}}), {});
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : doc.asObject()) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{"bench", "meta", "rows",
+                                            "schema_version", "stats"}));
+  const support::JsonValue* meta = doc.find("meta");
+  ASSERT_NE(meta, nullptr);
+  EXPECT_EQ(meta->stringOr("scale", ""), "quick");
+  EXPECT_EQ(meta->stringOr("sweep", ""), "doubling");
+  EXPECT_EQ(meta->stringOr("seeds", ""), "2");
+  EXPECT_EQ(meta->stringOr("comm", ""), "task-eager");
+  EXPECT_TRUE(doc.find("stats")->isObject());
 }
 
 }  // namespace

@@ -68,12 +68,10 @@ void expectJsonNear(const support::JsonValue& actual,
   }
 }
 
-void expectRows(const support::JsonValue& doc, const std::string& golden) {
-  const support::JsonValue* rows = doc.find("rows");
-  ASSERT_NE(rows, nullptr);
+void expectRows(const support::JsonArray& rows, const std::string& golden) {
   const auto expected = support::parseJson(golden);
   ASSERT_TRUE(expected.has_value()) << golden;
-  expectJsonNear(*rows, *expected, "rows");
+  expectJsonNear(support::JsonValue(rows), *expected, "rows");
 }
 
 // ------------------------------------------------------------- run outcomes
@@ -115,7 +113,7 @@ TEST(ExportGolden, RunOutcomeCsv) {
 
 TEST(ExportGolden, RunOutcomeJson) {
   const support::JsonValue doc = outcomesToJson("golden", goldenGroups());
-  expectRows(doc, R"([
+  expectRows(doc.find("rows")->asArray(), R"([
     {"band": "real", "config": "beta1", "family": "sarek", "total": 1,
      "scheduled_both": 0, "part_scheduled": 0, "mem_scheduled": 1,
      "geomean_ratio": 0, "geomean_part_makespan": 0,
@@ -164,7 +162,8 @@ std::vector<ContentionOutcome> goldenContention() {
 
 TEST(ExportGolden, ContentionCsv) {
   const std::string path = tempPath("contention.csv");
-  ASSERT_TRUE(exportContentionCsv(path, goldenContention()));
+  ASSERT_TRUE(
+      writeCsvColumns(path, contentionCsvColumns(), goldenContention()));
   EXPECT_EQ(readFile(path),
             "config,instance,band,family,tasks,ccr,oblivious_feasible,"
             "aware_feasible,oblivious_static,oblivious_predicted,"
@@ -175,16 +174,15 @@ TEST(ExportGolden, ContentionCsv) {
 }
 
 TEST(ExportGolden, ContentionJson) {
-  const support::JsonValue doc =
-      contentionToJson("golden", goldenContention());
+  const support::JsonArray rows = contentionJsonRows(goldenContention());
   const std::string row = R"("workflows": 1, "comparable": 1,
      "aware_wins": 1, "aware_losses": 0, "geomean_oblivious_static": 100,
      "geomean_oblivious_simulated": 125, "geomean_aware_simulated": 112.5,
      "geomean_optimism_gap": 1.25, "geomean_aware_gain": 1.1111111111111112,
      "recovered_fraction": 0.5})";
-  expectRows(doc, R"([{"config": "ccr2", "band": "all", )" + row +
-                      R"(, {"config": "ccr2", "band": "small", )" + row +
-                      "]");
+  expectRows(rows, R"([{"config": "ccr2", "band": "all", )" + row +
+                       R"(, {"config": "ccr2", "band": "small", )" + row +
+                       "]");
 }
 
 // ---------------------------------------------------------------- resched
@@ -217,7 +215,8 @@ std::vector<ReschedOutcome> goldenResched() {
 
 TEST(ExportGolden, ReschedCsv) {
   const std::string path = tempPath("resched.csv");
-  ASSERT_TRUE(exportReschedulingCsv(path, goldenResched()));
+  ASSERT_TRUE(
+      writeCsvColumns(path, reschedulingCsvColumns(), goldenResched()));
   EXPECT_EQ(readFile(path),
             "config,policy,scheduler,instance,band,family,tasks,ok,"
             "static_makespan,mean_final_makespan,p95_final_makespan,"
@@ -229,8 +228,7 @@ TEST(ExportGolden, ReschedCsv) {
 }
 
 TEST(ExportGolden, ReschedJson) {
-  const support::JsonValue doc = reschedulingToJson("golden", goldenResched());
-  expectRows(doc, R"([
+  expectRows(reschedulingJsonRows(goldenResched()), R"([
     {"config": "straggler0.1x3", "policy": "lateness0.05",
      "scheduler": "part", "instances": 1, "replications": 4,
      "geomean_static_makespan": 200, "geomean_mean_makespan": 235,
@@ -270,7 +268,8 @@ std::vector<RobustnessOutcome> goldenRobustness() {
 
 TEST(ExportGolden, RobustnessCsv) {
   const std::string path = tempPath("robustness.csv");
-  ASSERT_TRUE(exportRobustnessCsv(path, goldenRobustness()));
+  ASSERT_TRUE(
+      writeCsvColumns(path, robustnessCsvColumns(), goldenRobustness()));
   EXPECT_EQ(readFile(path),
             "config,scheduler,instance,band,family,tasks,ok,static_makespan,"
             "mean_makespan,p50_makespan,p95_makespan,min_makespan,"
@@ -281,9 +280,7 @@ TEST(ExportGolden, RobustnessCsv) {
 }
 
 TEST(ExportGolden, RobustnessJson) {
-  const support::JsonValue doc =
-      robustnessToJson("golden", goldenRobustness());
-  expectRows(doc, R"([
+  expectRows(robustnessJsonRows(goldenRobustness()), R"([
     {"config": "sigma0.2", "scheduler": "mem", "instances": 1,
      "replications": 8, "geomean_static_makespan": 400,
      "geomean_mean_makespan": 420, "geomean_p95_makespan": 460,
@@ -324,7 +321,8 @@ std::vector<FaultOutcome> goldenFaults() {
 
 TEST(ExportGolden, FaultCsv) {
   const std::string path = tempPath("faults.csv");
-  ASSERT_TRUE(exportFaultRecoveryCsv(path, goldenFaults()));
+  ASSERT_TRUE(
+      writeCsvColumns(path, faultRecoveryCsvColumns(), goldenFaults()));
   EXPECT_EQ(readFile(path),
             "level,scheduler,instance,band,family,tasks,ok,static_makespan,"
             "mean_aware_makespan,mean_greedy_makespan,mean_aware_slowdown,"
@@ -336,8 +334,7 @@ TEST(ExportGolden, FaultCsv) {
 }
 
 TEST(ExportGolden, FaultJson) {
-  const support::JsonValue doc = faultRecoveryToJson("golden", goldenFaults());
-  expectRows(doc, R"([
+  expectRows(faultRecoveryJsonRows(goldenFaults()), R"([
     {"level": "fail0.3", "scheduler": "part", "instances": 1,
      "replications": 8, "faulty_runs": 5, "total_fail_stops": 6,
      "total_crashes": 1, "total_tasks_killed": 9, "total_retries": 2,

@@ -450,7 +450,8 @@ TEST(Export, WritesOneRowPerOutcome) {
   outcomes[1].partFeasible = false;
 
   const std::string path = testing::TempDir() + "/dagpm_export.csv";
-  ASSERT_TRUE(experiments::exportOutcomesCsv(path, outcomes));
+  ASSERT_TRUE(experiments::exportOutcomesCsv(
+      path, experiments::OutcomeGroups{{"", outcomes}}));
   std::ifstream is(path);
   std::string line;
   std::getline(is, line);
@@ -465,8 +466,14 @@ TEST(Export, WritesOneRowPerOutcome) {
 
 TEST(Export, MaybeExportRespectsEnv) {
   // DAGPM_CSV unset in tests: export is a no-op.
-  EXPECT_EQ(experiments::maybeExportCsv(
-                "x", std::vector<experiments::RunOutcome>{}),
+  const experiments::OutcomeGroups none = {{"", {}}};
+  EXPECT_EQ(experiments::maybeExport(
+                "x",
+                [&](const std::string& path) {
+                  return experiments::exportOutcomesCsv(path, none);
+                },
+                [&] { return experiments::outcomesToJson("x", none); })
+                .csvPath,
             "");
 }
 

@@ -2,7 +2,7 @@
 // engine) and its integration into the swap/merge steps: bit-identity with
 // the full recompute, probe purity, the cycle-check equivalence, the
 // equal-speed-prune placement-invariance guard, and end-to-end agreement of
-// the incremental pipeline with the DAGPM_FULL_REEVAL reference.
+// the incremental pipeline with the full-reevaluation reference.
 
 #include <gtest/gtest.h>
 

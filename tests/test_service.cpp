@@ -1,7 +1,6 @@
-// Tests for the scheduling service (ISSUE 8): request fingerprints, the LRU
-// schedule cache, the concurrent executor, the DAGPM_FULL_REEVAL
-// re-entrancy fix, per-request counter attribution, and multi-tenant
-// co-scheduling.
+// Tests for the scheduling service: request fingerprints, the LRU schedule
+// cache, the concurrent executor, per-request counter attribution, and
+// multi-tenant co-scheduling.
 //
 // The load-bearing test is ConcurrentDifferential: N worker threads churning
 // through a shuffled, duplicated request stream must produce schedules
@@ -12,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <future>
 #include <stdexcept>
 #include <vector>
@@ -121,7 +119,7 @@ TEST(ServiceFingerprint, ScheduleRelevantFieldsHash) {
 }
 
 TEST(ServiceFingerprint, ProvenNoOpSwitchesExcluded) {
-  // parallelSweep and fullReevaluation/envResolved provably do not change
+  // parallelSweep and fullReevaluation provably do not change
   // the schedule (pinned invariants), so they must NOT move the fingerprint:
   // a cache entry stays valid across evaluation modes.
   const graph::Dag g =
@@ -134,54 +132,8 @@ TEST(ServiceFingerprint, ProvenNoOpSwitchesExcluded) {
   scheduler::DagHetPartConfig changed = cfg;
   changed.parallelSweep = !cfg.parallelSweep;
   changed.options.fullReevaluation = true;
-  changed.options.envResolved = true;
   EXPECT_EQ(base, service::fingerprintRequest(g, cluster, changed,
                                               Algorithm::kDagHetPart));
-}
-
-// ---------------------------------------------------------------------------
-// DAGPM_FULL_REEVAL re-entrancy fix
-// ---------------------------------------------------------------------------
-
-TEST(ServiceOptions, EnvReadIsFresh) {
-  // The pre-ISSUE-8 bug: the first call latched the env value in a static,
-  // so a service could never trust per-request options. The fix reads fresh
-  // on every call.
-  unsetenv("DAGPM_FULL_REEVAL");
-  EXPECT_FALSE(scheduler::fullReevaluationForced());
-  setenv("DAGPM_FULL_REEVAL", "1", 1);
-  EXPECT_TRUE(scheduler::fullReevaluationForced());
-  setenv("DAGPM_FULL_REEVAL", "0", 1);
-  EXPECT_FALSE(scheduler::fullReevaluationForced());
-  setenv("DAGPM_FULL_REEVAL", "", 1);
-  EXPECT_FALSE(scheduler::fullReevaluationForced());
-  unsetenv("DAGPM_FULL_REEVAL");
-  EXPECT_FALSE(scheduler::fullReevaluationForced());
-}
-
-TEST(ServiceOptions, ResolvedOptionsAreFrozen) {
-  setenv("DAGPM_FULL_REEVAL", "1", 1);
-  scheduler::SchedulerOptions resolved =
-      scheduler::resolveEnvironment(scheduler::SchedulerOptions{});
-  EXPECT_TRUE(resolved.envResolved);
-  EXPECT_TRUE(resolved.fullReevaluation);
-  EXPECT_TRUE(scheduler::useFullReevaluation(resolved));
-
-  // Once resolved, later environment changes must not leak in (and
-  // resolving again is a no-op).
-  unsetenv("DAGPM_FULL_REEVAL");
-  EXPECT_TRUE(scheduler::useFullReevaluation(resolved));
-  EXPECT_TRUE(scheduler::resolveEnvironment(resolved).fullReevaluation);
-
-  // A resolved "off" stays off even when the env turns on afterwards.
-  scheduler::SchedulerOptions off =
-      scheduler::resolveEnvironment(scheduler::SchedulerOptions{});
-  EXPECT_FALSE(off.fullReevaluation);
-  setenv("DAGPM_FULL_REEVAL", "1", 1);
-  EXPECT_FALSE(scheduler::useFullReevaluation(off));
-  // Unresolved options still see the environment (legacy entry points).
-  EXPECT_TRUE(scheduler::useFullReevaluation(scheduler::SchedulerOptions{}));
-  unsetenv("DAGPM_FULL_REEVAL");
 }
 
 // ---------------------------------------------------------------------------
@@ -303,32 +255,6 @@ TEST(ServiceEngine, CacheHitIsBitIdenticalToColdSolve) {
   EXPECT_EQ(warm.fingerprint, cold.fingerprint);
   expectIdentical(warm.schedule, cold.schedule);
   EXPECT_EQ(warm.solveSeconds, 0.0);
-}
-
-TEST(ServiceEngine, PerRequestOverridesStickUnderEnv) {
-  // A service constructed while DAGPM_FULL_REEVAL is unset must keep jobs on
-  // the incremental path even if the env flips mid-run — and either way the
-  // schedules are bit-identical (the pinned invariant), which this pins
-  // end-to-end through the service.
-  unsetenv("DAGPM_FULL_REEVAL");
-  const platform::Cluster cluster = testCluster();
-  const graph::Dag g =
-      workflows::generate(workflows::Family::kSoyKb, genConfig(60, 6));
-
-  ServiceConfig sc;
-  sc.numThreads = 2;
-  sc.cacheCapacity = 0;  // force both submissions to actually solve
-  sc.coalesceIdentical = false;
-  SchedulerService svc(sc);
-  service::Request req;
-  req.dag = &g;
-  req.cluster = &cluster;
-  const service::Response before = svc.submit(req).get();
-  setenv("DAGPM_FULL_REEVAL", "1", 1);  // raced setenv; must not be seen
-  const service::Response after = svc.submit(req).get();
-  unsetenv("DAGPM_FULL_REEVAL");
-  ASSERT_TRUE(before.schedule.feasible);
-  expectIdentical(after.schedule, before.schedule);
 }
 
 TEST(ServiceEngine, TrySubmitRejectsWhenFull) {
